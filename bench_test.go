@@ -1022,8 +1022,8 @@ func BenchmarkFederationDeltaThroughput(b *testing.B) {
 // keeping a converged federation converged: total wire bytes per
 // anti-entropy round across the whole fleet, with 100 records fully
 // propagated and nothing changing. Under digest anti-entropy this is a
-// per-link constant (one digest each way), independent of view size —
-// the number the v2 full-snapshot re-send scaled linearly in records.
+// per-link constant (one digest each way), independent of view size,
+// where re-sending the view every round would scale linearly in records.
 func BenchmarkFederationBackgroundBytes(b *testing.B) {
 	const records = 100
 	for _, n := range []int{2, 8, 32} {

@@ -14,7 +14,6 @@ import (
 	"indiss/internal/dnssd"
 	"indiss/internal/federation"
 	"indiss/internal/netapi"
-	"indiss/internal/predict"
 	"indiss/internal/simnet"
 	"indiss/internal/slp"
 	"indiss/internal/units"
@@ -42,9 +41,6 @@ type chaosFixture struct {
 	// store; a restart then warm-boots from disk instead of starting
 	// from an empty view.
 	dataDirs []string
-	// predict gives every gateway a query plane and a predictive cache
-	// (fast mining thresholds, so rules form in test time).
-	predict bool
 }
 
 // chaosOpt tweaks the fixture before the gateways deploy.
@@ -60,12 +56,6 @@ func withPersistence() chaosOpt {
 			f.dataDirs[i] = filepath.Join(root, chaosGWID(i))
 		}
 	}
-}
-
-// withPredict enables the query plane and the predictive cache on every
-// gateway, tuned so the miner distills rules within test time.
-func withPredict() chaosOpt {
-	return func(f *chaosFixture) { f.predict = true }
 }
 
 func chaosGWName(i int) string { return "gw" + fmt.Sprint(i+1) }
@@ -94,17 +84,6 @@ func (f *chaosFixture) chaosDeployCfg(i int) indiss.Config {
 	}
 	if f.dataDirs != nil {
 		cfg.DataDir = f.dataDirs[i]
-	}
-	if f.predict {
-		cfg.QueryPort = -1
-		cfg.Predict = true
-		cfg.PredictConfig = predict.Config{
-			Window:          2 * time.Second,
-			MinSupport:      2,
-			MinConfidence:   0.3,
-			DistillInterval: 50 * time.Millisecond,
-			RefreshInterval: 100 * time.Millisecond,
-		}
 	}
 	return cfg
 }
@@ -971,16 +950,14 @@ func TestChaosRoamHandover(t *testing.T) {
 	f.checkpoint("roam-home", w, 30*time.Second)
 }
 
-// TestPredictUnderChurn races the predictive cache against everything
-// at once: four-SDP churn, a roaming churn host, and a lookup driver
-// hammering both gateways' views with a stable co-discovery pattern
-// (printer then scanner) plus churn-kind noise. The race detector is
-// the main assert; on top of it, the miner must distill the pattern
-// into a rule, the rule must drive prefetches, and the full soak
+// TestChaosRoamUnderChurn is the roam storm: four-SDP churn while one
+// churn host hops between the campus segments every 150ms, resetting
+// its TCP sessions and re-homing its multicast mid-registration. The
+// race detector is the main assert during the storm; the full soak
 // invariant set must hold at the closing checkpoint.
-func TestPredictUnderChurn(t *testing.T) {
+func TestChaosRoamUnderChurn(t *testing.T) {
 	t.Parallel()
-	f := newChaosCampus(t, 2, 2, 0, 250*time.Millisecond, withPredict())
+	f := newChaosCampus(t, 2, 2, 0, 250*time.Millisecond)
 	w := f.newWorkload(soakConfig())
 	if err := w.Register(16); err != nil {
 		t.Fatal(err)
@@ -988,26 +965,8 @@ func TestPredictUnderChurn(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // lookup driver
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			now := time.Now()
-			v := f.gws[i%2].View()
-			v.Find("printer", now)
-			v.Find("scanner", now)
-			if live := w.Expectation().Live; len(live) > 0 {
-				v.Find(live[i%len(live)].Kind, now)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}()
-	go func() { // roamer: one churn host hops segments under the miner
+	wg.Add(1)
+	go func() { // roamer: one churn host hops segments under the churn
 		defer wg.Done()
 		seg := 2
 		for {
@@ -1032,35 +991,5 @@ func TestPredictUnderChurn(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-
-	// The stable pattern must have distilled into a rule and fired
-	// prefetches; keep presenting it until the next distill tick lands.
-	p0, ok := f.gws[0].Predictor().(*predict.Predictor)
-	if !ok {
-		t.Fatal("gateway deployed without a predictor")
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := p0.Stats()
-		if st.Rules > 0 && st.Prefetches > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no rule or prefetch after the storm: %+v", st)
-		}
-		now := time.Now()
-		f.gws[0].View().Find("printer", now)
-		f.gws[0].View().Find("scanner", now)
-		time.Sleep(20 * time.Millisecond)
-	}
-	for i, sys := range f.gws {
-		p, ok := sys.Predictor().(*predict.Predictor)
-		if !ok {
-			t.Fatalf("gw%d has no predictor", i+1)
-		}
-		if st := p.Stats(); st.Observed == 0 {
-			t.Errorf("gw%d predictor observed nothing: %+v", i+1, st)
-		}
-	}
 	f.checkpoint("post-storm", w, 30*time.Second)
 }

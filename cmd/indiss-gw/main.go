@@ -42,7 +42,6 @@ import (
 	"indiss"
 	"indiss/internal/federation"
 	"indiss/internal/jini"
-	"indiss/internal/predict"
 	"indiss/internal/query"
 	"indiss/internal/realnet"
 	"indiss/internal/slp"
@@ -80,16 +79,6 @@ func printQueryStats(sys *indiss.System, label string) {
 		return
 	}
 	fmt.Println(label + "query: " + qp.Stats().String())
-}
-
-// printPredictStats dumps the predictive cache's counters, when the
-// gateway runs with -predict.
-func printPredictStats(sys *indiss.System, label string) {
-	p, ok := sys.Predictor().(*predict.Predictor)
-	if !ok {
-		return
-	}
-	fmt.Println(label + "predict: " + p.Stats().String())
 }
 
 // announceQueryPlane prints where the HTTP/JSON query API listens, when
@@ -136,7 +125,6 @@ func printGatewaySummary(sys *indiss.System, labelled bool) {
 	fmt.Printf("%sservices in the gateway's view: %d\n", label, len(sys.View().Find("", time.Now())))
 	printFedStats(sys, label)
 	printQueryStats(sys, label)
-	printPredictStats(sys, label)
 	printStoreStats(sys, label)
 }
 
@@ -164,7 +152,6 @@ func startStatsLoop(systems []*indiss.System, interval time.Duration) (stop func
 					fmt.Printf("%sview: %d records\n", label, sys.View().Len())
 					printFedStats(sys, label)
 					printQueryStats(sys, label)
-					printPredictStats(sys, label)
 					printStoreStats(sys, label)
 				}
 			}
@@ -192,7 +179,6 @@ type gwOpts struct {
 	peers         []string
 	dataDir       string
 	queryPort     int
-	predict       bool
 	statsInterval time.Duration
 
 	// real mode only
@@ -247,7 +233,6 @@ func main() {
 	sdpList := flag.String("sdps", "", "real mode: restrict the gateway to these protocol units (comma list of slp,upnp,jini,dnssd; default: all, self-adaptively)")
 	dataDir := flag.String("data-dir", "", "persist the service view under this directory (warm boot on restart; -segments > 1 uses per-gateway subdirectories)")
 	queryPort := flag.Int("query-port", 0, "serve the HTTP/JSON query API on this TCP port (0 = disabled, -1 = ephemeral)")
-	predictOn := flag.Bool("predict", false, "enable the predictive discovery cache (mines co-discovery rules from the lookup stream; prefetches the query plane, refreshes remote records ahead of expiry)")
 	statsInterval := flag.Duration("stats-interval", 0, "print view/federation/store stats every interval (0 = only on shutdown)")
 	var peers peerList
 	flag.Var(&peers, "peer", "federation peer for the first gateway (ip:port, repeatable)")
@@ -274,7 +259,6 @@ func main() {
 		peers:         peers,
 		dataDir:       *dataDir,
 		queryPort:     *queryPort,
-		predict:       *predictOn,
 		statsInterval: *statsInterval,
 		iface:         *iface,
 		ip:            *ip,
@@ -331,7 +315,6 @@ func runReal(opts gwOpts) error {
 		SDPs:      opts.sdps,
 		DataDir:   opts.dataDir,
 		QueryPort: opts.queryPort,
-		Predict:   opts.predict,
 		GatewayID: opts.gatewayID,
 	}
 	// Federation: -peer dials out; -federation-port (or -peer without an
@@ -451,7 +434,6 @@ func runCampus(opts gwOpts) error {
 			Role:      indiss.RoleGateway,
 			GatewayID: fmt.Sprintf("gw%d", i),
 			QueryPort: opts.queryPort,
-			Predict:   opts.predict,
 			// Chain peering: every gateway dials its successor.
 			FederationPort: indiss.FederationDefaultPort,
 		}
@@ -541,7 +523,6 @@ func runSingleLAN(opts gwOpts) error {
 		Spec:      opts.spec,
 		DataDir:   opts.dataDir,
 		QueryPort: opts.queryPort,
-		Predict:   opts.predict,
 	})
 	if err != nil {
 		return err

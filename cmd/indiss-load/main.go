@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"indiss"
-	"indiss/internal/predict"
 	"indiss/internal/query"
 	"indiss/internal/simnet"
 )
@@ -42,8 +41,6 @@ func main() {
 	churnInterval := flag.Duration("churn-interval", 2*time.Millisecond, "spacing of churn operations per gateway (every put invalidates the whole answer cache)")
 	memBudget := flag.Int64("mem-budget", 0, "ViewMemBudget in bytes (0 = unbounded; >0 adds spill pressure)")
 	paperFabric := flag.Bool("paper-fabric", false, "run on the paper-grade 10 Mb/s campus fabric instead of the gigabit one (measures the simulated pipe as much as the query plane)")
-	predictOn := flag.Bool("predict", false, "enable the predictive discovery cache on every gateway (A/B against a run without it)")
-	roam := flag.Bool("roam", false, "roam load-client hosts across segments during the run (their keep-alive connections reset mid-flight, like a real handover)")
 	pace := flag.Duration("pace", 0, "per-worker delay between queries (0 = closed-loop saturation; >0 = open-loop clients with think time, the right mode for latency measurement)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	flag.Parse()
@@ -58,7 +55,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if err := run(*gateways, *queries, *workers, *nativeFrac, *predFrac, *services, *churn, *churnInterval, *memBudget, *paperFabric, *predictOn, *roam, *pace); err != nil {
+	if err := run(*gateways, *queries, *workers, *nativeFrac, *predFrac, *services, *churn, *churnInterval, *memBudget, *paperFabric, *pace); err != nil {
 		fmt.Fprintln(os.Stderr, "indiss-load:", err)
 		os.Exit(1)
 	}
@@ -66,10 +63,8 @@ func main() {
 
 // kinds is the query key space. Wide enough (64) that no single kind is
 // kept warm by foreground traffic alone: under churn, most lookups are
-// cold, which is the regime the -predict A/B measures — every worker
-// walks the kinds in a fixed cycle, so the next lookup is predictable
-// from the current one (the co-discovery structure HANDY mines).
-// Predicate queries target kinds whose records carry attrs.
+// cold. Every worker walks the kinds in a fixed cycle. Predicate
+// queries target kinds whose records carry attrs.
 var kinds = func() []string {
 	out := make([]string, 64)
 	for i := range out {
@@ -99,7 +94,7 @@ func newCampus(n int, paperFabric bool) *indiss.Network {
 	return topo.MustBuild()
 }
 
-func run(gateways, queries, workers int, nativeFrac, predFrac float64, services int, churn bool, churnInterval time.Duration, memBudget int64, paperFabric, predictOn, roam bool, pace time.Duration) error {
+func run(gateways, queries, workers int, nativeFrac, predFrac float64, services int, churn bool, churnInterval time.Duration, memBudget int64, paperFabric bool, pace time.Duration) error {
 	if gateways < 1 || queries < 1 || workers < 1 {
 		return fmt.Errorf("need -gateways, -queries, -workers >= 1")
 	}
@@ -120,32 +115,6 @@ func run(gateways, queries, workers int, nativeFrac, predFrac float64, services 
 			FederationPort: indiss.FederationDefaultPort,
 			QueryPort:      -1, // ephemeral
 			ViewMemBudget:  memBudget,
-			Predict:        predictOn,
-		}
-		if predictOn {
-			// Load-rig mining tempo: the run lasts seconds, not hours,
-			// and the demand cadence is sub-millisecond, not human-scale.
-			// The window must sit a few query intervals wide: much wider
-			// and every kind co-occurs with every other (confidence ~1.0
-			// for arbitrary pairs — a garbage rule table that prefetches
-			// the wrong kinds).
-			cfg.PredictConfig = predict.Config{
-				Window:          5 * time.Millisecond,
-				DistillInterval: 100 * time.Millisecond,
-				MinSupport:      3,
-				// Deep warm-ahead: the sweep front advances a kind every
-				// ~50µs, so 4 kinds of cover is ~200µs — one backlogged
-				// build and the front outruns the prefetcher.
-				MaxPredict: 8,
-				// The Warm freshness probe already bounds builds to one
-				// per generation per kind; the gap only needs to blunt
-				// the degenerate regime where the generation turns over
-				// faster than a build completes (~0.5ms at 4096
-				// services). Anything wider is pure loss: after a bump
-				// the kind stays un-warmable for the rest of the gap,
-				// which hands the first toucher a guaranteed miss.
-				PrefetchGap: 2 * time.Millisecond,
-			}
 		}
 		if i < gateways {
 			cfg.Peers = []string{fmt.Sprintf("10.0.%d.9:%d", i+1, indiss.FederationDefaultPort)}
@@ -179,8 +148,8 @@ func run(gateways, queries, workers int, nativeFrac, predFrac float64, services 
 		}
 	}
 
-	fmt.Printf("indiss-load: campus up: %d chain-federated gateways, %d services each, churn=%v mem-budget=%d predict=%v roam=%v\n",
-		gateways, services, churn, memBudget, predictOn, roam)
+	fmt.Printf("indiss-load: campus up: %d chain-federated gateways, %d services each, churn=%v mem-budget=%d\n",
+		gateways, services, churn, memBudget)
 	if churn {
 		fmt.Printf("indiss-load: churn interval %s per gateway\n", churnInterval)
 	}
@@ -205,7 +174,6 @@ func run(gateways, queries, workers int, nativeFrac, predFrac float64, services 
 	var httpErrs atomic.Uint64
 	start := time.Now()
 	var wg sync.WaitGroup
-	loadHosts := make([]string, workers)
 	for w := 0; w < workers; w++ {
 		n := perWorker
 		if w < extra {
@@ -213,9 +181,7 @@ func run(gateways, queries, workers int, nativeFrac, predFrac float64, services 
 		}
 		sys := systems[w%len(systems)]
 		qaddr := sys.QueryPlane().(*query.Server).Addr()
-		name := fmt.Sprintf("load-%d", w)
-		loadHosts[w] = name
-		host := net.MustAddHostOn(name,
+		host := net.MustAddHostOn(fmt.Sprintf("load-%d", w),
 			fmt.Sprintf("10.0.%d.%d", w%gateways+1, 100+w/gateways), indiss.CampusSegment(w%gateways+1))
 		wg.Add(1)
 		go func(w, n int, sys *indiss.System) {
@@ -223,19 +189,10 @@ func run(gateways, queries, workers int, nativeFrac, predFrac float64, services 
 			results[w] = runWorker(host, qaddr, sys, w, n, nativeFrac, predFrac, pace, &httpErrs)
 		}(w, n, sys)
 	}
-	var roamWG sync.WaitGroup
-	if roam && gateways > 1 {
-		roamWG.Add(1)
-		go func() {
-			defer roamWG.Done()
-			runRoam(net, loadHosts, gateways, stop)
-		}()
-	}
 	wg.Wait()
 	elapsed := time.Since(start)
 	close(stop)
 	churnWG.Wait()
-	roamWG.Wait()
 
 	// Merge and sort for exact percentiles.
 	var native, http []time.Duration
@@ -251,27 +208,19 @@ func run(gateways, queries, workers int, nativeFrac, predFrac float64, services 
 		workers, total, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds(), httpErrs.Load())
 	report("native", native)
 	report("http", http)
-	var hits, misses, prefetches, prefetchHits, prefetchWasted uint64
+	var hits, misses uint64
 	for i, sys := range systems {
 		if qp, ok := sys.QueryPlane().(*query.Server); ok {
 			st := qp.Stats()
 			hits += st.CacheHits
 			misses += st.CacheMisses
-			prefetches += st.Prefetches
-			prefetchHits += st.PrefetchHits
-			prefetchWasted += st.PrefetchWasted
 			fmt.Printf("indiss-load: gw%d query: %s\n", i+1, st.String())
 		}
-		if p, ok := sys.Predictor().(*predict.Predictor); ok {
-			fmt.Printf("indiss-load: gw%d predict: %s\n", i+1, p.Stats().String())
-		}
 	}
-	// The A/B headline: the answer cache's hit rate and the prefetches
-	// behind it. The http p99 above is the other half — the miss tail.
+	// The answer cache's hit rate; the http p99 above is the miss tail.
 	if hits+misses > 0 {
-		fmt.Printf("indiss-load: answer-cache: hits=%d misses=%d hit-rate=%.1f%% prefetches=%d prefetch_hits=%d prefetch_wasted=%d\n",
-			hits, misses, 100*float64(hits)/float64(hits+misses),
-			prefetches, prefetchHits, prefetchWasted)
+		fmt.Printf("indiss-load: answer-cache: hits=%d misses=%d hit-rate=%.1f%%\n",
+			hits, misses, 100*float64(hits)/float64(hits+misses))
 	}
 	if httpErrs.Load() > uint64(total/100) {
 		return fmt.Errorf("%d HTTP errors (>1%% of %d queries)", httpErrs.Load(), total)
@@ -328,32 +277,6 @@ func runChurn(sys *indiss.System, gi int, interval time.Duration, stop <-chan st
 		if enforce && i%16 == 0 {
 			sys.View().EnforceBudget(time.Now())
 		}
-	}
-}
-
-// runRoam cycles the load-client hosts across the campus segments, one
-// move every 250ms round-robin — a handover mid-traffic. Host.Move
-// resets the mover's keep-alive TCP connections; the workers' clients
-// reconnect lazily, exactly like a roaming device re-reaching its
-// gateway.
-func runRoam(net *indiss.Network, hosts []string, gateways int, stop <-chan struct{}) {
-	ticker := time.NewTicker(250 * time.Millisecond)
-	defer ticker.Stop()
-	for i := 0; ; i++ {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-		}
-		w := i % len(hosts)
-		// Hop the host one segment over from wherever it started,
-		// alternating out and home.
-		home := w%gateways + 1
-		seg := home%gateways + 1
-		if i/len(hosts)%2 == 1 {
-			seg = home
-		}
-		net.MoveHost(hosts[w], indiss.CampusSegment(seg))
 	}
 }
 

@@ -30,13 +30,11 @@ package indiss
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 	"time"
 
 	"indiss/internal/core"
 	"indiss/internal/federation"
 	"indiss/internal/netapi"
-	"indiss/internal/predict"
 	"indiss/internal/query"
 	"indiss/internal/realnet"
 	"indiss/internal/units"
@@ -221,19 +219,6 @@ type Config struct {
 	// listens on that port; a negative value listens on an ephemeral
 	// port (tests). See DESIGN.md §12 for the wire schema.
 	QueryPort int
-
-	// Predict enables the predictive discovery cache: an online miner
-	// over the gateway's lookup stream whose co-discovery rules prefetch
-	// the query plane's answer cache and refresh remote records of
-	// predicted kinds ahead of TTL expiry. It composes with whatever
-	// planes are enabled — prefetch needs QueryPort, predictive refresh
-	// needs federation, and the miner runs regardless. When DataDir is
-	// set, the rule table persists across restarts (rules.iprt). See
-	// DESIGN.md §13.
-	Predict bool
-	// PredictConfig tunes the miner; the zero value selects the
-	// documented defaults. Ignored unless Predict is set.
-	PredictConfig predict.Config
 }
 
 // FederationDefaultPort is the default federation listening port.
@@ -310,24 +295,6 @@ func Deploy(stack Stack, cfg Config) (*System, error) {
 				ListenPort: cfg.QueryPort,
 				GatewayID:  s.GatewayID(),
 			})
-		}
-	}
-	if cfg.Predict {
-		coreCfg.Predict = func(s *core.System) (io.Closer, error) {
-			pcfg := cfg.PredictConfig
-			if pcfg.RulePath == "" && cfg.DataDir != "" {
-				pcfg.RulePath = filepath.Join(cfg.DataDir, "rules.iprt")
-			}
-			// The predictor composes with whatever planes exist: no
-			// query plane means no HTTP observer and no prefetch
-			// target, no federation means no predictive refresh — the
-			// miner still runs on the view's native lookups.
-			qs, _ := s.QueryPlane().(*query.Server)
-			var fed predict.Refresher
-			if ep, ok := s.Federation().(*federation.Endpoint); ok {
-				fed = ep
-			}
-			return predict.New(pcfg, s.View(), qs, fed)
 		}
 	}
 	if cfg.Spec != "" {

@@ -67,46 +67,38 @@ type Config struct {
 	// FederationPort is the TCP port the federation endpoint listens
 	// on. Zero uses the federation package's default.
 	FederationPort int
-	// Federation builds the peering endpoint once the system is up. The
-	// hook indirection (set by the public indiss package) keeps core
-	// free of a dependency on internal/federation, which itself imports
-	// core for the view and records. Nil disables federation.
-	Federation FederationHook
+	// Federation builds the peering endpoint once the system is up. Nil
+	// disables federation.
+	Federation PlaneHook
 
 	// QueryPort is the TCP port the HTTP/JSON query plane listens on.
 	// Zero uses the query package's default; only meaningful with Query
 	// set.
 	QueryPort int
-	// Query builds the HTTP/JSON read plane once the system is up —
-	// the same hook indirection as Federation, keeping core free of a
-	// dependency on internal/query. Nil disables the query plane.
-	Query QueryHook
-
-	// Predict builds the predictive discovery cache once the query
-	// plane is up — the same hook indirection again, keeping core free
-	// of a dependency on internal/predict. It runs last in the start
-	// order (it observes the planes the other hooks built) and closes
-	// first. Nil disables prediction.
-	Predict PredictHook
+	// Query builds the HTTP/JSON read plane once the system is up. Nil
+	// disables the query plane.
+	Query PlaneHook
 }
 
-// FederationHook constructs the view-sync peering endpoint for a running
-// system. The returned closer is shut down first on System.Close, before
-// the monitor and units, so no remote knowledge flows into a closing
-// instance.
-type FederationHook func(*System) (io.Closer, error)
+// PlaneHook constructs one network plane — the federation peering
+// endpoint or the HTTP/JSON query plane — for a running system. The
+// hook indirection (set by the public indiss package) keeps core free of
+// a dependency on the plane packages, which themselves import core for
+// the view and records. Planes start after the monitor and units, in
+// the order federation, query; System.Close shuts them down in reverse,
+// before the monitor and units: in-flight reads drain against a view
+// whose writers are still orderly, and no remote knowledge flows into
+// (or out of) an instance whose units are stopping.
+type PlaneHook func(*System) (io.Closer, error)
 
-// QueryHook constructs the HTTP/JSON query plane for a running system.
-// Closed alongside the federation endpoint, before the monitor and
-// units, so in-flight reads drain against a still-live view.
-type QueryHook func(*System) (io.Closer, error)
+// Plane slots, in start order.
+const (
+	planeFederation = iota
+	planeQuery
+	numPlanes
+)
 
-// PredictHook constructs the predictive discovery cache for a running
-// system. It is invoked after the federation and query hooks, so
-// System.Federation() and System.QueryPlane() already answer; it is
-// closed before both, so prediction never drives planes that are
-// shutting down.
-type PredictHook func(*System) (io.Closer, error)
+var planeNames = [numPlanes]string{"federation", "query plane"}
 
 // ErrSystemClosed reports use of a closed system.
 var ErrSystemClosed = errors.New("core: system closed")
@@ -129,16 +121,14 @@ type System struct {
 	store       *viewstore.Store
 	storeCancel func()
 
-	mu         sync.Mutex
-	units      map[SDP]Unit
-	allowed    map[SDP]struct{}
-	closed     bool
-	closeErr   error
-	closeDone  chan struct{}
-	reAdv      bool
-	federation io.Closer
-	query      io.Closer
-	predictor  io.Closer
+	mu        sync.Mutex
+	units     map[SDP]Unit
+	allowed   map[SDP]struct{}
+	closed    bool
+	closeErr  error
+	closeDone chan struct{}
+	reAdv     bool
+	planes    [numPlanes]io.Closer
 
 	sem  chan struct{}
 	stop chan struct{}
@@ -214,34 +204,17 @@ func NewSystem(stack netapi.Stack, registry *Registry, cfg Config) (*System, err
 			s.policyLoop()
 		}()
 	}
-	if cfg.Federation != nil {
-		fed, err := cfg.Federation(s)
+	for i, hook := range [numPlanes]PlaneHook{cfg.Federation, cfg.Query} {
+		if hook == nil {
+			continue
+		}
+		p, err := hook(s)
 		if err != nil {
 			s.Close()
-			return nil, fmt.Errorf("core: federation: %w", err)
+			return nil, fmt.Errorf("core: %s: %w", planeNames[i], err)
 		}
 		s.mu.Lock()
-		s.federation = fed
-		s.mu.Unlock()
-	}
-	if cfg.Query != nil {
-		qp, err := cfg.Query(s)
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("core: query plane: %w", err)
-		}
-		s.mu.Lock()
-		s.query = qp
-		s.mu.Unlock()
-	}
-	if cfg.Predict != nil {
-		pr, err := cfg.Predict(s)
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("core: predict: %w", err)
-		}
-		s.mu.Lock()
-		s.predictor = pr
+		s.planes[i] = p
 		s.mu.Unlock()
 	}
 	return s, nil
@@ -263,30 +236,18 @@ func (s *System) Peers() []string { return s.cfg.Peers }
 // federation is disabled. Callers needing more than io.Closer — the
 // federation package's *Endpoint with its Stats() — type-assert the
 // result; core itself stays free of that dependency.
-func (s *System) Federation() io.Closer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.federation
-}
+func (s *System) Federation() io.Closer { return s.plane(planeFederation) }
 
 // QueryPlane returns the running HTTP/JSON query server, or nil when
 // the query plane is disabled. Callers needing more than io.Closer —
 // the query package's *Server with its Addr() and Stats() —
 // type-assert the result; core itself stays free of that dependency.
-func (s *System) QueryPlane() io.Closer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.query
-}
+func (s *System) QueryPlane() io.Closer { return s.plane(planeQuery) }
 
-// Predictor returns the running predictive discovery cache, or nil
-// when prediction is disabled. Callers needing more than io.Closer —
-// the predict package's *Predictor with its Stats() — type-assert the
-// result; core itself stays free of that dependency.
-func (s *System) Predictor() io.Closer {
+func (s *System) plane(i int) io.Closer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.predictor
+	return s.planes[i]
 }
 
 // Close stops the monitor, every unit and the bus. It is idempotent and
@@ -315,12 +276,8 @@ func (s *System) Close() error {
 		units = append(units, u)
 	}
 	s.units = make(map[SDP]Unit)
-	fed := s.federation
-	s.federation = nil
-	qp := s.query
-	s.query = nil
-	pr := s.predictor
-	s.predictor = nil
+	planes := s.planes
+	s.planes = [numPlanes]io.Closer{}
 	s.mu.Unlock()
 
 	var firstErr error
@@ -330,20 +287,11 @@ func (s *System) Close() error {
 		}
 	}
 	close(s.stop)
-	if pr != nil {
-		// Prediction goes before the planes it drives: no prefetch or
-		// refresh may land on a closing query engine or endpoint.
-		keep(pr.Close())
-	}
-	if qp != nil {
-		// The read plane goes before everything: queries should drain
-		// against a view whose writers are still orderly.
-		keep(qp.Close())
-	}
-	if fed != nil {
-		// The peering plane goes first: no remote knowledge should flow
-		// into (or out of) an instance whose units are stopping.
-		keep(fed.Close())
+	// Planes go first, in reverse start order (see PlaneHook).
+	for i := numPlanes - 1; i >= 0; i-- {
+		if planes[i] != nil {
+			keep(planes[i].Close())
+		}
 	}
 	s.monitor.Close()
 	for _, u := range units {

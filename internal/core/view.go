@@ -185,13 +185,6 @@ type ServiceView struct {
 	subs      map[int]chan Delta
 	batchSubs map[int]*batchSub
 
-	// lookupTap, when set, observes every exported find-by-kind lookup
-	// (Find and FindForeign — not the internal FindWhere scans a cache
-	// rebuild runs, which would echo derived demand back as original).
-	// An atomic pointer: the disabled path is one load and a branch, so
-	// the Find hot path keeps its allocation contract either way.
-	lookupTap atomic.Pointer[func(source, kind string)]
-
 	// Two-tier storage (see viewtier.go). tiered gates every cold-path
 	// branch so a memory-only view pays one predictable-false branch at
 	// most. storage, kindScan and memBudget are set once by
@@ -534,9 +527,6 @@ func (v *ServiceView) Get(origin SDP, url string) (ServiceRecord, bool) {
 // whole record), so a returned map is immutable in practice. Callers that
 // need a mutable copy take one explicitly with ServiceRecord.Clone.
 func (v *ServiceView) Find(kind string, now time.Time) []ServiceRecord {
-	if t := v.lookupTap.Load(); t != nil && kind != "" {
-		(*t)("native", kind)
-	}
 	return v.find(kind, now, "", false, nil)
 }
 
@@ -569,23 +559,7 @@ func (v *ServiceView) FindWhere(kind string, now time.Time, keep func(*ServiceRe
 // prefers the service on its own segment over an equivalent one that is
 // several routed hops away. Within each class, order is by URL.
 func (v *ServiceView) FindForeign(asking SDP, kind string, now time.Time) []ServiceRecord {
-	if t := v.lookupTap.Load(); t != nil && kind != "" {
-		(*t)(string(asking), kind)
-	}
 	return v.find(kind, now, asking, true, nil)
-}
-
-// SetLookupTap installs (or, with nil, removes) the lookup observer.
-// The tap runs inline on the lookup path and must be cheap and
-// non-blocking; it sees the demand source ("native" for direct Find
-// calls, the asking SDP for FindForeign) and the queried kind. One tap
-// at a time — the predictive subsystem is the intended consumer.
-func (v *ServiceView) SetLookupTap(fn func(source, kind string)) {
-	if fn == nil {
-		v.lookupTap.Store(nil)
-		return
-	}
-	v.lookupTap.Store(&fn)
 }
 
 func (v *ServiceView) find(kind string, now time.Time, skip SDP, filterOrigin bool, keep func(*ServiceRecord) bool) []ServiceRecord {

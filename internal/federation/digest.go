@@ -7,14 +7,13 @@ import (
 	"indiss/internal/core"
 )
 
-// Digest anti-entropy (v3) replaces the full-snapshot re-send: each
-// round an endpoint summarizes its view per origin gateway — live
-// count, order-independent set hash over (key, epoch), max epoch, and
-// the same pair for graves — and sends the summary. The receiver pushes
-// full records only for origins the digest proves diverged, and
-// requests (DIGEST-DIFF) origins the sender knows and it lacks. At
-// quiescence every bucket matches and a round costs one small frame per
-// link, independent of view size.
+// Digest anti-entropy: each round an endpoint summarizes its view per
+// origin gateway — live count, order-independent set hash over (key,
+// epoch), max epoch, and the same pair for graves — and sends the
+// summary. The receiver pushes full records only for origins the digest
+// proves diverged, and requests (DIGEST-DIFF) origins the sender knows
+// and it lacks. At quiescence every bucket matches and a round costs
+// one small frame per link, independent of view size.
 //
 // Two deliberate exclusions keep the hash convergent: expiry instants
 // (TTLs are re-derived per hop and never compare equal — a lost refresh
@@ -198,7 +197,7 @@ func (e *Endpoint) buildSummariesSlow() map[string]*originAgg {
 	return out
 }
 
-// enqueueDigest sends one anti-entropy digest to a v3 session, with a
+// enqueueDigest sends one anti-entropy digest to a session, with a
 // peer-gossip sample piggybacked.
 func (e *Endpoint) enqueueDigest(s *session) {
 	sums := e.buildSummaries()
@@ -314,7 +313,7 @@ func (e *Endpoint) handleDigestDiff(s *session, d DigestDiff) {
 }
 
 // pushOrigin sends one origin's live records and graves to a session as
-// BATCH frames (v3) and reports whether everything was enqueued. Split
+// BATCH frames and reports whether everything was enqueued. Split
 // horizon still applies per record; the receiving accept filter absorbs
 // whatever it already knows.
 func (e *Endpoint) pushOrigin(s *session, agg *originAgg) bool {
@@ -357,43 +356,4 @@ func (e *Endpoint) pushOrigin(s *session, agg *originAgg) bool {
 		return true
 	}
 	return e.enqueueEntries(s, entries)
-}
-
-// PullOrigins asks every live v3 peer to push its current knowledge of
-// the named origin gateways — records and graves — as if a digest round
-// had just proven them diverged. It is the targeted-refresh entry point
-// for layers above the plane (the predictive cache re-pulls remote
-// records nearing TTL expiry instead of letting them lapse): the peers'
-// pushes arrive as ordinary BATCH frames and re-derive fresh TTLs, so a
-// still-registered record's lease renews without a cold miss. No memo
-// gating on either side — the caller throttles itself, exactly like a
-// digest-diff requester. Returns the number of sessions asked.
-func (e *Endpoint) PullOrigins(origins []string) int {
-	if len(origins) == 0 {
-		return 0
-	}
-	if len(origins) > maxDigestOrigins {
-		origins = origins[:maxDigestOrigins]
-	}
-	e.mu.Lock()
-	targets := make([]*session, 0, len(e.sessions))
-	for s := range e.sessions {
-		targets = append(targets, s)
-	}
-	e.mu.Unlock()
-	if len(targets) == 0 {
-		return 0
-	}
-	frame := AppendDigestDiff(nil, DigestDiff{Origins: origins})
-	asked := 0
-	for _, s := range targets {
-		if s.version < 3 {
-			continue // v2 peers have no targeted pull; anti-entropy covers them
-		}
-		if s.enqueue(FrameDigestDiff, frame) {
-			e.stats.digestRequests.Add(uint64(len(origins)))
-			asked++
-		}
-	}
-	return asked
 }

@@ -144,7 +144,7 @@ func TestShorterTTLReregistrationCrossesGrave(t *testing.T) {
 
 // TestPeerRestartSameIDFullResync: a peer that crashes and returns with
 // the same GatewayID and an empty view is fully re-synced by the
-// snapshot-on-connect, with sane hop counts (no stale-hop ghosts), and
+// digest exchange on connect, with sane hop counts (no stale-hop ghosts), and
 // the records the dead incarnation originated fade on their TTL.
 func TestPeerRestartSameIDFullResync(t *testing.T) {
 	_, hosts := fedNet(t, 2)

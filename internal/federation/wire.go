@@ -4,17 +4,17 @@
 // by a gateway several routed hops away — the scale-out the paper's §3
 // gateway placement implies but never builds.
 //
-// The protocol stays small: a version handshake (HELLO) negotiating
-// min(local, peer), then — on a v3 session — BATCH frames carrying the
-// flush window's coalesced ANNOUNCE/WITHDRAW deltas, and a jittered
+// The protocol stays small: a version handshake (HELLO) that refuses
+// peers older than Version, then BATCH frames carrying the flush
+// window's coalesced ANNOUNCE/WITHDRAW deltas, and a jittered
 // per-origin DIGEST each anti-entropy round. At quiescence a round
 // costs one digest per link regardless of view size; records cross the
 // wire only when a digest proves the peer missing or stale (the peer
-// pushes, or answers a DIGEST-DIFF request). HELLO and DIGEST also
-// gossip a bounded peer sample, from which the overlay self-organizes
-// (see overlay.go). A v2 peer gets the legacy stream instead:
-// per-record frames, a full snapshot on connect and every anti-entropy
-// round.
+// pushes, or answers a DIGEST-DIFF request). Standalone ANNOUNCE and
+// WITHDRAW frames carry what does not batch: a directed withdraw-back
+// repair and records too large for a BATCH frame. HELLO and DIGEST
+// also gossip a bounded peer sample, from which the overlay
+// self-organizes (see overlay.go).
 //
 // Loop safety in meshed peerings rests on the same guards at every
 // hop: the originating gateway drops its own records coming back, a hop
@@ -32,17 +32,10 @@ import (
 
 // Protocol constants.
 const (
-	// Version is the newest peering protocol version this build speaks.
-	// Version 2 added the Epoch field to ANNOUNCE and the TTL and Epoch
-	// fields to WITHDRAW. Version 3 added BATCH frames (many deltas per
-	// frame), DIGEST/DIGEST-DIFF anti-entropy, and peer gossip in HELLO
-	// and DIGEST. Since v3 the handshake negotiates: each side speaks
-	// min(its own version, the peer's), so a v3 endpoint peers with a v2
-	// one using per-record frames and snapshot anti-entropy.
+	// Version is the peering protocol version this build speaks, and
+	// the oldest it accepts: a HELLO below it gets no session. A newer
+	// peer is accepted and spoken to in this version.
 	Version = 3
-
-	// MinVersion is the oldest peer version a session still accepts.
-	MinVersion = 2
 
 	// DefaultPort is the IANA-style default TCP port of the federation
 	// endpoint.
@@ -89,16 +82,16 @@ const (
 	FrameAnnounce
 	// FrameWithdraw retracts one record.
 	FrameWithdraw
-	// FrameBatch carries many announce/withdraw deltas in one frame
-	// (v3+): one length-prefixed payload, one write, one read.
+	// FrameBatch carries many announce/withdraw deltas in one frame:
+	// one length-prefixed payload, one write, one read.
 	FrameBatch
 	// FrameDigest carries a per-origin summary of the sender's view
-	// (v3+ anti-entropy): the receiver pushes only what the digest
-	// proves the sender is missing or holds stale.
+	// (anti-entropy): the receiver pushes only what the digest proves
+	// the sender is missing or holds stale.
 	FrameDigest
-	// FrameDigestDiff requests full records for the listed origins
-	// (v3+): sent when a digest names an origin the receiver lacks
-	// entirely or disagrees about.
+	// FrameDigestDiff requests full records for the listed origins:
+	// sent when a digest names an origin the receiver lacks entirely or
+	// disagrees about.
 	FrameDigestDiff
 )
 
@@ -117,18 +110,16 @@ type PeerInfo struct {
 
 // Hello is the session-opening handshake.
 type Hello struct {
-	// Version is the sender's protocol version. Both sides then speak
-	// min(local, remote); a peer below MinVersion is refused.
+	// Version is the sender's protocol version; a peer below Version is
+	// refused.
 	Version uint8
 	// GatewayID is the sender's federation identity.
 	GatewayID string
 	// ListenAddr is the sender's own federation listener as "ip:port",
 	// so the accepting side can gossip a dialable address for the
-	// dialer (whose ephemeral source port is useless). v3+; empty on
-	// v2 sessions.
+	// dialer (whose ephemeral source port is useless).
 	ListenAddr string
 	// Peers is a bounded sample of the sender's known overlay peers.
-	// v3+; nil on v2 sessions.
 	Peers []PeerInfo
 }
 
@@ -273,17 +264,13 @@ func appendPeers(dst []byte, peers []PeerInfo) []byte {
 	return dst
 }
 
-// AppendHello appends a HELLO frame to dst. The v3 fields (listen
-// address, peer sample) are only emitted when h.Version >= 3, so the
-// frame a v2 peer receives is exactly the v2 shape.
+// AppendHello appends a HELLO frame to dst.
 func AppendHello(dst []byte, h Hello) []byte {
 	dst, at := appendHeader(dst, FrameHello)
 	dst = append(dst, h.Version)
 	dst = appendString(dst, h.GatewayID)
-	if h.Version >= 3 {
-		dst = appendString(dst, h.ListenAddr)
-		dst = appendPeers(dst, h.Peers)
-	}
+	dst = appendString(dst, h.ListenAddr)
+	dst = appendPeers(dst, h.Peers)
 	return finishFrame(dst, at)
 }
 
@@ -483,18 +470,15 @@ func parsePeers(r *reader) []PeerInfo {
 	return peers
 }
 
-// ParseHello decodes a HELLO payload. The payload shape follows the
-// *sender's* version byte: v2 hellos end after the gateway id, v3+
-// hellos add a listen address and peer sample. Trailing bytes are
-// tolerated only from versions newer than this build, so a future v4
-// can extend HELLO without breaking the v3 handshake.
+// ParseHello decodes a HELLO payload. Trailing bytes are tolerated only
+// from versions newer than this build, so a future version can extend
+// HELLO without breaking the handshake. ParseHello decodes any version
+// byte; refusing an older peer is the session's call.
 func ParseHello(payload []byte) (Hello, error) {
 	r := &reader{b: payload}
 	h := Hello{Version: r.byte(), GatewayID: r.string()}
-	if h.Version >= 3 && r.err == nil {
-		h.ListenAddr = r.string()
-		h.Peers = parsePeers(r)
-	}
+	h.ListenAddr = r.string()
+	h.Peers = parsePeers(r)
 	if h.Version > Version {
 		if r.err != nil {
 			return Hello{}, r.err

@@ -3,7 +3,6 @@ package query
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"indiss/internal/core"
@@ -44,16 +43,11 @@ type qkey struct {
 
 // answer is one immutable cache entry. Rebuilds install a fresh entry;
 // nothing mutates a published one, so readers copy wire under RLock.
-// The two prefetch fields are the only exception to immutability: hit
-// flips false→true exactly once, under atomics.
 type answer struct {
 	gen       uint64 // view generation read BEFORE the scan that built this
 	minExpiry int64  // unixnano of the earliest record expiry; MaxInt64 when none
 	wire      []byte // complete HTTP/1.1 response, headers included
 	pred      *slp.Predicate
-
-	prefetched bool        // built by Warm, not by a client miss
-	hit        atomic.Bool // a client query was served from this entry
 }
 
 // maxCacheEntries bounds the answer cache. Past it, inserting first
@@ -91,13 +85,10 @@ func (e *Engine) AppendAnswer(dst []byte, kind, pred string, now time.Time) ([]b
 	e.mu.RUnlock()
 	if a != nil && a.gen == gen && now.UnixNano() < a.minExpiry {
 		e.ctrs.cacheHits.Add(1)
-		if a.prefetched && a.hit.CompareAndSwap(false, true) {
-			e.ctrs.prefetchHits.Add(1)
-		}
 		return append(dst, a.wire...), true, nil
 	}
 
-	a, err := e.build(k, a, now, false)
+	a, err := e.build(k, a, now)
 	if err != nil {
 		return dst, false, err
 	}
@@ -105,42 +96,13 @@ func (e *Engine) AppendAnswer(dst []byte, kind, pred string, now time.Time) ([]b
 	return append(dst, a.wire...), false, nil
 }
 
-// Warm pre-builds the cached answer for (kind, pred) so the next client
-// query is a zero-allocation cache hit. A no-op when the entry is
-// already fresh. This is the predictive subsystem's prefetch entry
-// point — it runs off the request path, so a build here trades
-// background work for a foreground hit. Reports whether a fresh entry
-// was actually built.
-func (e *Engine) Warm(kind, pred string, now time.Time) bool {
-	k := qkey{kind: kind, pred: pred}
-	gen := e.view.Generation()
-	e.mu.RLock()
-	a := e.cache[k]
-	e.mu.RUnlock()
-	if a != nil && a.gen == gen && now.UnixNano() < a.minExpiry {
-		return false // already hot
-	}
-	if _, err := e.build(k, a, now, true); err != nil {
-		return false
-	}
-	e.ctrs.prefetches.Add(1)
-	return true
-}
-
 // build scans the view, renders the answer and installs it in the
 // cache. prev, when non-nil, donates its compiled predicate so a
-// generation-invalidated entry does not re-parse. prefetched marks
-// entries built by Warm rather than a client miss, for the
-// prefetch-efficacy accounting.
-func (e *Engine) build(k qkey, prev *answer, now time.Time, prefetched bool) (*answer, error) {
+// generation-invalidated entry does not re-parse.
+func (e *Engine) build(k qkey, prev *answer, now time.Time) (*answer, error) {
 	compiled, err := e.compile(k.pred, prev)
 	if err != nil {
 		return nil, err
-	}
-	// A prefetched entry displaced before any client read it was wasted
-	// work; count it at displacement, where the fact is known.
-	if prev != nil && prev.prefetched && !prev.hit.Load() {
-		e.ctrs.prefetchWasted.Add(1)
 	}
 
 	// Generation BEFORE the scan: a mutation racing the scan lands a
@@ -181,7 +143,6 @@ func (e *Engine) build(k qkey, prev *answer, now time.Time, prefetched bool) (*a
 
 	a := renderAnswer(e.gwID, k, gen, recs)
 	a.pred = compiled // donate the compilation to the next rebuild
-	a.prefetched = prefetched
 	e.install(k, a)
 	return a, nil
 }

@@ -7,7 +7,6 @@ import (
 	"runtime/pprof"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"indiss/internal/core"
@@ -41,18 +40,13 @@ type Server struct {
 	gwID     string
 	ctrs     counters
 
-	// observer, when set, sees every well-formed find-by-kind lookup
-	// (client IP, kind) — the predictive subsystem's feed. An atomic
-	// pointer so the serve hot path pays one load and a nil check.
-	observer atomic.Pointer[func(client, kind string)]
-
 	mu     sync.Mutex
 	closed bool
 	wg     sync.WaitGroup
 }
 
 // New binds the query port and starts serving. The returned server
-// satisfies io.Closer for the core system's QueryHook.
+// satisfies io.Closer for the core system's query PlaneHook.
 func New(stack netapi.Stack, view *core.ServiceView, cfg Config) (*Server, error) {
 	port := cfg.ListenPort
 	switch {
@@ -88,20 +82,6 @@ func New(stack netapi.Stack, view *core.ServiceView, cfg Config) (*Server, error
 
 // Addr returns the bound query endpoint.
 func (s *Server) Addr() netapi.Addr { return s.listener.Addr() }
-
-// Engine exposes the answer cache (benchmarks, budget tests).
-func (s *Server) Engine() *Engine { return s.engine }
-
-// SetLookupObserver installs (or, with nil, removes) the lookup
-// observer. The observer runs on the request path and must be cheap and
-// non-blocking; it sees the client's IP and the queried kind.
-func (s *Server) SetLookupObserver(fn func(client, kind string)) {
-	if fn == nil {
-		s.observer.Store(nil)
-		return
-	}
-	s.observer.Store(&fn)
-}
 
 // Stats snapshots the query-plane counters.
 func (s *Server) Stats() Stats { return s.ctrs.snapshot() }
@@ -150,7 +130,6 @@ func (s *Server) serveConn(st netapi.Stream) {
 	wb := httpx.AcquireBuf()
 	defer httpx.ReleaseBuf(rb)
 	defer httpx.ReleaseBuf(wb)
-	client := st.RemoteAddr().IP
 
 	for {
 		st.SetReadTimeout(idleTimeout)
@@ -169,7 +148,7 @@ func (s *Server) serveConn(st netapi.Stream) {
 		case method != "GET":
 			out = s.errorResponse(out, 405, "Method Not Allowed", "GET only")
 		default:
-			out, keepAlive = s.route(out, target, client, st)
+			out, keepAlive = s.route(out, target, st)
 		}
 		if out != nil {
 			if _, err := st.Write(out); err != nil {
@@ -188,11 +167,11 @@ func (s *Server) serveConn(st netapi.Stream) {
 // route dispatches one request. It returns the response bytes (nil if
 // the handler already wrote to the stream, e.g. a streamed CPU
 // profile) and whether to keep the connection.
-func (s *Server) route(out []byte, target, client string, st netapi.Stream) ([]byte, bool) {
+func (s *Server) route(out []byte, target string, st netapi.Stream) ([]byte, bool) {
 	path, qs := splitTarget(target)
 	switch {
 	case path == "/v1/services":
-		return s.handleServices(out, qs, client), true
+		return s.handleServices(out, qs), true
 	case path == "/v1/watch":
 		return s.handleWatch(out, qs), true
 	case path == "/debug/vars":
@@ -206,16 +185,13 @@ func (s *Server) route(out []byte, target, client string, st netapi.Stream) ([]b
 	}
 }
 
-func (s *Server) handleServices(out []byte, qs, client string) []byte {
+func (s *Server) handleServices(out []byte, qs string) []byte {
 	p, err := ParseQuery(qs)
 	if err != nil {
 		s.ctrs.badRequests.Add(1)
 		return s.errorResponse(out, 400, "Bad Request", err.Error())
 	}
 	s.ctrs.queries.Add(1)
-	if obs := s.observer.Load(); obs != nil {
-		(*obs)(client, p.Kind)
-	}
 	out, _, err = s.engine.AppendAnswer(out, p.Kind, p.Pred, time.Now())
 	if err != nil {
 		s.ctrs.badRequests.Add(1)

@@ -18,12 +18,6 @@ type counters struct {
 	badRequests  atomic.Uint64 // 4xx responses
 	coldMerged   atomic.Uint64 // spilled records merged into answers
 	predRejected atomic.Uint64 // records rejected by pushdown predicate
-
-	// Prefetch efficacy (the predictive subsystem drives Engine.Warm;
-	// the engine is where hits on warmed entries are observed).
-	prefetches     atomic.Uint64 // answers built by Warm
-	prefetchHits   atomic.Uint64 // warmed entries later served to a client
-	prefetchWasted atomic.Uint64 // warmed entries displaced before any client read
 }
 
 // Stats is a point-in-time snapshot of the query plane's counters.
@@ -38,10 +32,6 @@ type Stats struct {
 	BadRequests  uint64
 	ColdMerged   uint64
 	PredRejected uint64
-
-	Prefetches     uint64
-	PrefetchHits   uint64
-	PrefetchWasted uint64
 }
 
 func (c *counters) snapshot() Stats {
@@ -56,25 +46,16 @@ func (c *counters) snapshot() Stats {
 		BadRequests:  c.badRequests.Load(),
 		ColdMerged:   c.coldMerged.Load(),
 		PredRejected: c.predRejected.Load(),
-
-		Prefetches:     c.prefetches.Load(),
-		PrefetchHits:   c.prefetchHits.Load(),
-		PrefetchWasted: c.prefetchWasted.Load(),
 	}
 }
 
 // String renders the snapshot in the one-line key=value form the
 // gateway's -stats-interval loop prints.
 func (s Stats) String() string {
-	out := fmt.Sprintf(
+	return fmt.Sprintf(
 		"queries=%d hits=%d misses=%d watch_polls=%d watch_active=%d delivered=%d bytes_out=%d bad=%d cold_merged=%d pred_rejected=%d",
 		s.Queries, s.CacheHits, s.CacheMisses, s.WatchPolls, s.WatchActive,
 		s.Deliveries, s.BytesOut, s.BadRequests, s.ColdMerged, s.PredRejected)
-	if s.Prefetches > 0 {
-		out += fmt.Sprintf(" prefetches=%d prefetch_hits=%d prefetch_wasted=%d",
-			s.Prefetches, s.PrefetchHits, s.PrefetchWasted)
-	}
-	return out
 }
 
 // appendVarsJSON renders the snapshot as the /debug/vars JSON body,
@@ -91,9 +72,6 @@ func (s Stats) appendVarsJSON(dst []byte) []byte {
 	dst = appendUintField(dst, "bad_requests", s.BadRequests, true)
 	dst = appendUintField(dst, "cold_merged", s.ColdMerged, true)
 	dst = appendUintField(dst, "pred_rejected", s.PredRejected, true)
-	dst = appendUintField(dst, "prefetches", s.Prefetches, true)
-	dst = appendUintField(dst, "prefetch_hits", s.PrefetchHits, true)
-	dst = appendUintField(dst, "prefetch_wasted", s.PrefetchWasted, true)
 	return append(dst, '}')
 }
 

@@ -3,6 +3,7 @@ package simnet
 import (
 	"errors"
 	"io"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -526,10 +527,15 @@ func TestQueueOverflowDrops(t *testing.T) {
 			t.Fatalf("WriteTo: %v", err)
 		}
 	}
+	// Metrics count a packet at send time, but the scheduler delivers it
+	// later: drain only once every overflowing packet has been dropped,
+	// or in-flight ones would refill the slots the drain frees.
+	want := int64(total - udpQueueCap)
 	deadline := time.Now().Add(2 * time.Second)
-	for n.Metrics().Port(9).DroppedPackets == 0 {
+	for n.Metrics().Port(9).DroppedPackets < want {
 		if time.Now().After(deadline) {
-			t.Fatal("no drops recorded after queue overflow")
+			t.Fatalf("dropped %d packets after queue overflow, want %d",
+				n.Metrics().Port(9).DroppedPackets, want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -732,7 +738,7 @@ func TestSchedulerSubMillisecondDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var worst time.Duration
+	samples := make([]time.Duration, 0, 20)
 	for i := 0; i < 20; i++ {
 		start := time.Now()
 		if err := send.WriteTo([]byte{1}, Addr{IP: "10.0.0.2", Port: 9}); err != nil {
@@ -745,12 +751,13 @@ func TestSchedulerSubMillisecondDelivery(t *testing.T) {
 		if elapsed < 300*time.Microsecond {
 			t.Fatalf("delivered before the link delay: %v", elapsed)
 		}
-		if elapsed > worst {
-			worst = elapsed
-		}
+		samples = append(samples, elapsed)
 	}
-	if worst > 2*time.Millisecond {
-		t.Errorf("worst sub-ms delivery took %v; scheduler precision lost", worst)
+	// The 19th of 20 sorted samples: one delivery may lose its time slice
+	// on a shared machine without the scheduler having lost precision.
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	if p95 := samples[len(samples)-2]; p95 > 2*time.Millisecond {
+		t.Errorf("19th of 20 sub-ms deliveries took %v; scheduler precision lost", p95)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"indiss/internal/dnssd"
 	"indiss/internal/events"
 	"indiss/internal/httpx"
-	"indiss/internal/predict"
 	"indiss/internal/query"
 )
 
@@ -259,28 +258,5 @@ func TestPooledStreamSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs > 0.5 {
 		t.Errorf("pooled build/release cycle allocates %.1f times per message, want ~0", allocs)
-	}
-}
-
-// TestPredictObserveAllocBudget: the predictor's lookup probe rides
-// inline on the view's Find path and the query plane's serve path, so
-// it must stay allocation-free: one atomic rule-table load, one map
-// lookup, two non-blocking channel sends of value types. The budget of
-// 1 leaves headroom for runtime noise without letting a per-lookup
-// event allocation sneak in. (AllocsPerRun pins GOMAXPROCS to 1, so
-// the mine loop is starved and the event channel fills — exactly the
-// backpressure path, which must also not allocate.)
-func TestPredictObserveAllocBudget(t *testing.T) {
-	view := core.NewServiceView()
-	p, err := predict.New(predict.Config{}, view, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	allocs := testing.AllocsPerRun(100, func() {
-		p.Observe("10.0.0.9", "printer")
-	})
-	if allocs > 1 {
-		t.Errorf("Observe allocates %.1f times per lookup, budget is 1", allocs)
 	}
 }
