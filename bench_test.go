@@ -967,7 +967,7 @@ func BenchmarkFederationConvergence(b *testing.B) {
 		b.Run("gateways="+strconv.Itoa(n), func(b *testing.B) {
 			views := benchCampusChain(b, n)
 			last := views[n-1]
-			deltas, cancel := last.SubscribeDeltas(4096)
+			batches, cancel := last.SubscribeDeltaBatches(4096)
 			b.Cleanup(cancel)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -979,9 +979,12 @@ func BenchmarkFederationConvergence(b *testing.B) {
 					Attrs:   map[string]string{},
 					Expires: time.Now().Add(time.Hour),
 				})
-				for d := range deltas {
-					if d.Op == core.DeltaPut && d.Record.URL == url {
-						break
+			wait:
+				for batch := range batches {
+					for _, d := range batch {
+						if d.Op == core.DeltaPut && d.Record.URL == url {
+							break wait
+						}
 					}
 				}
 			}

@@ -284,8 +284,9 @@ func fedClients() []fedClient {
 				if err != nil {
 					t.Fatalf("Jini DiscoverLookup: %v", err)
 				}
-				// The gateway's view→registrar sync runs periodically;
-				// poll until the remote record is registered.
+				// The registrar serves the gateway's view, which the
+				// federation fills asynchronously; poll until the remote
+				// record arrives.
 				deadline := time.Now().Add(10 * time.Second)
 				for {
 					items, err := c.Lookup(loc, jini.ServiceTemplate{

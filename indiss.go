@@ -121,8 +121,6 @@ type UnitOptions struct {
 	UPnP units.UPnPUnitConfig
 	// Jini tunes the Jini unit.
 	Jini units.JiniUnitConfig
-	// DNSSD tunes the DNS-SD unit.
-	DNSSD units.DNSSDUnitConfig
 }
 
 // Config defines an INDISS deployment.
@@ -233,7 +231,7 @@ func Registry(opts UnitOptions) *core.Registry {
 	r.Register(core.SDPSLP, func() core.Unit { return units.NewSLPUnit(opts.SLP) })
 	r.Register(core.SDPUPnP, func() core.Unit { return units.NewUPnPUnit(opts.UPnP) })
 	r.Register(core.SDPJini, func() core.Unit { return units.NewJiniUnit(opts.Jini) })
-	r.Register(core.SDPDNSSD, func() core.Unit { return units.NewDNSSDUnit(opts.DNSSD) })
+	r.Register(core.SDPDNSSD, func() core.Unit { return units.NewDNSSDUnit() })
 	return r
 }
 

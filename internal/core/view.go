@@ -182,7 +182,6 @@ type ServiceView struct {
 	numSubs   atomic.Int32
 	deltaMu   sync.Mutex
 	deltaSeq  int
-	subs      map[int]chan Delta
 	batchSubs map[int]*batchSub
 
 	// Two-tier storage (see viewtier.go). tiered gates every cold-path
@@ -247,7 +246,6 @@ func (b *batchSub) pump() {
 func NewServiceView() *ServiceView {
 	v := &ServiceView{
 		keys:      make(map[string]string),
-		subs:      make(map[int]chan Delta),
 		batchSubs: make(map[int]*batchSub),
 	}
 	for i := range v.shards {
@@ -257,46 +255,19 @@ func NewServiceView() *ServiceView {
 	return v
 }
 
-// SubscribeDeltas returns a channel delivering every subsequent change to
-// the view, plus a cancel function releasing the subscription. Delivery
-// is best-effort: a subscriber that falls more than buf deltas behind
-// loses the overflow (the federation plane's periodic anti-entropy
-// repairs exactly this). Deltas are emitted after the view's locks are
-// released, so ordering between concurrent mutations is approximate.
-func (v *ServiceView) SubscribeDeltas(buf int) (<-chan Delta, func()) {
-	if buf <= 0 {
-		buf = 64
-	}
-	ch := make(chan Delta, buf)
-	v.deltaMu.Lock()
-	v.deltaSeq++
-	id := v.deltaSeq
-	v.subs[id] = ch
-	v.numSubs.Store(int32(len(v.subs)))
-	v.deltaMu.Unlock()
-	cancel := func() {
-		v.deltaMu.Lock()
-		if _, ok := v.subs[id]; ok {
-			delete(v.subs, id)
-			v.numSubs.Store(int32(len(v.subs) + len(v.batchSubs)))
-			close(ch)
-		}
-		v.deltaMu.Unlock()
-	}
-	return ch, cancel
-}
-
-// SubscribeDeltaBatches is the coalescing variant of SubscribeDeltas:
-// every view mutation delivers its deltas as one []Delta — a Put and the
+// SubscribeDeltaBatches returns a channel delivering every subsequent
+// change to the view, plus a cancel function releasing the subscription.
+// Every view mutation delivers its deltas as one []Delta — a Put and the
 // expiry sweep it triggered arrive together — so a consumer that batches
 // work (the federation distributor) receives the view's natural batch
 // boundaries instead of re-discovering them one channel receive at a
 // time. The delivered slice is shared read-only between subscribers and
 // must not be mutated or retained past the consumer's own batching
-// window. Unlike SubscribeDeltas, delivery is lossless: batches a slow
-// consumer has not taken yet spool in memory rather than dropping, so
-// the feed is safe to build live replication on. buf sizes the handoff
-// channel only; it does not bound the spool.
+// window. Delivery is lossless: batches a slow consumer has not taken
+// yet spool in memory rather than dropping, so the feed is safe to build
+// live replication on. buf sizes the handoff channel only; it does not
+// bound the spool. Deltas are emitted after the view's locks are
+// released, so ordering between concurrent mutations is approximate.
 func (v *ServiceView) SubscribeDeltaBatches(buf int) (<-chan []Delta, func()) {
 	if buf <= 0 {
 		buf = 64
@@ -311,13 +282,13 @@ func (v *ServiceView) SubscribeDeltaBatches(buf int) (<-chan []Delta, func()) {
 	v.deltaSeq++
 	id := v.deltaSeq
 	v.batchSubs[id] = sub
-	v.numSubs.Store(int32(len(v.subs) + len(v.batchSubs)))
+	v.numSubs.Store(int32(len(v.batchSubs)))
 	v.deltaMu.Unlock()
 	cancel := func() {
 		v.deltaMu.Lock()
 		if _, ok := v.batchSubs[id]; ok {
 			delete(v.batchSubs, id)
-			v.numSubs.Store(int32(len(v.subs) + len(v.batchSubs)))
+			v.numSubs.Store(int32(len(v.batchSubs)))
 			close(sub.stop)
 		}
 		v.deltaMu.Unlock()
@@ -341,7 +312,7 @@ func (v *ServiceView) bumpGen() { v.gen.Add(1) }
 // wantDeltas gates delta collection on the mutating paths.
 func (v *ServiceView) wantDeltas() bool { return v.numSubs.Load() > 0 }
 
-// emitDeltas fans collected deltas out to every subscriber,
+// emitDeltas spools collected deltas for every subscriber,
 // non-blocking. Must be called with no view locks held.
 func (v *ServiceView) emitDeltas(deltas []Delta) {
 	if len(deltas) == 0 {
@@ -349,14 +320,6 @@ func (v *ServiceView) emitDeltas(deltas []Delta) {
 	}
 	v.deltaMu.Lock()
 	defer v.deltaMu.Unlock()
-	for _, ch := range v.subs {
-		for _, d := range deltas {
-			select {
-			case ch <- d:
-			default: // slow subscriber: drop, anti-entropy repairs
-			}
-		}
-	}
 	for _, sub := range v.batchSubs {
 		sub.mu.Lock()
 		sub.queue = append(sub.queue, deltas)

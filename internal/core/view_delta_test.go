@@ -15,56 +15,57 @@ func recAt(origin SDP, kind, url string, ttl time.Duration) ServiceRecord {
 	}
 }
 
-func nextDelta(t *testing.T, ch <-chan Delta) Delta {
+// nextBatch returns the next delta batch the subscription delivers.
+func nextBatch(t *testing.T, ch <-chan []Delta) []Delta {
 	t.Helper()
 	select {
-	case d := <-ch:
-		return d
+	case batch := <-ch:
+		return batch
 	case <-time.After(2 * time.Second):
-		t.Fatal("no delta delivered")
-		return Delta{}
+		t.Fatal("no delta batch delivered")
+		return nil
 	}
 }
 
 func TestViewDeltaPutRemove(t *testing.T) {
 	v := NewServiceView()
-	ch, cancel := v.SubscribeDeltas(16)
+	ch, cancel := v.SubscribeDeltaBatches(16)
 	defer cancel()
 
 	v.Put(recAt(SDPSLP, "clock", "service:clock://10.0.0.2:4005", time.Hour))
-	d := nextDelta(t, ch)
-	if d.Op != DeltaPut || d.Record.URL != "service:clock://10.0.0.2:4005" {
-		t.Fatalf("delta = %+v, want Put of the record", d)
+	b := nextBatch(t, ch)
+	if len(b) != 1 || b[0].Op != DeltaPut || b[0].Record.URL != "service:clock://10.0.0.2:4005" {
+		t.Fatalf("batch = %+v, want the Put of the record", b)
 	}
 
 	v.Remove(SDPSLP, "service:clock://10.0.0.2:4005")
-	d = nextDelta(t, ch)
-	if d.Op != DeltaRemove || d.Record.Kind != "clock" {
-		t.Fatalf("delta = %+v, want Remove carrying the record", d)
+	b = nextBatch(t, ch)
+	if len(b) != 1 || b[0].Op != DeltaRemove || b[0].Record.Kind != "clock" {
+		t.Fatalf("batch = %+v, want a Remove carrying the record", b)
 	}
 }
 
 func TestViewDeltaExpire(t *testing.T) {
 	v := NewServiceView()
-	ch, cancel := v.SubscribeDeltas(16)
+	ch, cancel := v.SubscribeDeltaBatches(16)
 	defer cancel()
 
 	v.Put(recAt(SDPUPnP, "clock", "soap://10.0.0.2:4004", 10*time.Millisecond))
-	if d := nextDelta(t, ch); d.Op != DeltaPut {
-		t.Fatalf("first delta = %+v", d)
+	if b := nextBatch(t, ch); len(b) != 1 || b[0].Op != DeltaPut {
+		t.Fatalf("first batch = %+v", b)
 	}
 	time.Sleep(20 * time.Millisecond)
 	// Any touch sweeps the due shard.
 	v.Find("clock", time.Now())
-	d := nextDelta(t, ch)
-	if d.Op != DeltaExpire || d.Record.URL != "soap://10.0.0.2:4004" {
-		t.Fatalf("delta = %+v, want Expire of the record", d)
+	b := nextBatch(t, ch)
+	if len(b) != 1 || b[0].Op != DeltaExpire || b[0].Record.URL != "soap://10.0.0.2:4004" {
+		t.Fatalf("batch = %+v, want the Expire of the record", b)
 	}
 }
 
 func TestViewDeltaCancelAndNoSubscribers(t *testing.T) {
 	v := NewServiceView()
-	ch, cancel := v.SubscribeDeltas(4)
+	ch, cancel := v.SubscribeDeltaBatches(4)
 	cancel()
 	cancel() // idempotent
 	if _, ok := <-ch; ok {
@@ -75,9 +76,9 @@ func TestViewDeltaCancelAndNoSubscribers(t *testing.T) {
 	v.Remove(SDPSLP, "u1")
 }
 
-func TestViewDeltaSlowSubscriberDropsNotBlocks(t *testing.T) {
+func TestViewDeltaUndrainedSubscriberNeverBlocksPut(t *testing.T) {
 	v := NewServiceView()
-	_, cancel := v.SubscribeDeltas(1)
+	ch, cancel := v.SubscribeDeltaBatches(1)
 	defer cancel()
 	done := make(chan struct{})
 	go func() {
@@ -89,7 +90,13 @@ func TestViewDeltaSlowSubscriberDropsNotBlocks(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Put blocked on a full delta subscriber")
+		t.Fatal("Put blocked on an undrained delta subscriber")
+	}
+	// Nothing was dropped: the spool hands over every Put once drained.
+	for i := 0; i < 100; i++ {
+		if b := nextBatch(t, ch); len(b) != 1 || b[0].Op != DeltaPut {
+			t.Fatalf("batch %d = %+v, want one Put", i, b)
+		}
 	}
 }
 

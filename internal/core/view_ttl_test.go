@@ -21,16 +21,18 @@ func TestViewTTLExpiryUnderLoad(t *testing.T) {
 
 	// A delta subscriber keeps the delta paths (the federation's feed)
 	// active during the churn, so expiry also exercises emitDeltas.
-	deltas, cancel := v.SubscribeDeltas(256)
+	batches, cancel := v.SubscribeDeltaBatches(256)
 	defer cancel()
 	var expireDeltas atomic.Int64
 	var drainWG sync.WaitGroup
 	drainWG.Add(1)
 	go func() {
 		defer drainWG.Done()
-		for d := range deltas {
-			if d.Op == DeltaExpire {
-				expireDeltas.Add(1)
+		for batch := range batches {
+			for _, d := range batch {
+				if d.Op == DeltaExpire {
+					expireDeltas.Add(1)
+				}
 			}
 		}
 	}()

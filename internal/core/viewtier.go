@@ -43,7 +43,7 @@ type KindScanner interface {
 // heuristic, not an accountant — the budget it feeds is a soft target
 // for eviction, not an allocator limit.
 func recSize(r *ServiceRecord) int64 {
-	n := int64(176) // struct + map slots in bucket and key index
+	n := int64(176)                                        // struct + map slots in bucket and key index
 	n += int64(len(r.Origin) + len(r.Kind) + len(r.URL)*2) // URL also keys both indexes
 	n += int64(len(r.Location) + len(r.OriginGW))
 	for k, v := range r.Attrs {

@@ -1,8 +1,7 @@
 package jini
 
 // This file exposes the minimal packet-level surface INDISS's Jini unit
-// needs: peeking at monitor-captured datagrams and registering bridge
-// items into a lookup service without a network round trip.
+// needs to peek at monitor-captured datagrams.
 
 // PacketKind classifies a raw Jini discovery datagram.
 type PacketKind uint8
@@ -49,24 +48,4 @@ func ParseAnnouncementPacket(pr *PacketReader) (Locator, []string, error) {
 		return Locator{}, nil, err
 	}
 	return m.Locator, m.Groups, nil
-}
-
-// RegisterLocal inserts or refreshes a service item directly in the
-// lookup service's store, bypassing the unicast protocol — how the INDISS
-// bridge registrar mirrors foreign services it learned from the event
-// bus.
-func (ls *LookupService) RegisterLocal(item ServiceItem) (ServiceID, error) {
-	if item.Type == "" {
-		return ServiceID{}, ErrBadPacket
-	}
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	if item.ID.IsZero() {
-		ls.seq++
-		copy(item.ID[:], ls.host.IP())
-		item.ID[14] = byte(ls.seq >> 8)
-		item.ID[15] = byte(ls.seq)
-	}
-	ls.items[item.ID] = item
-	return item.ID, nil
 }

@@ -2,6 +2,8 @@ package jini
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -304,6 +306,45 @@ func TestServiceIDString(t *testing.T) {
 	}
 	if !(ServiceID{}).IsZero() || id.IsZero() {
 		t.Error("IsZero misreported")
+	}
+}
+
+// TestLookupOrdersByID: registered and supplied items come back merged,
+// filtered by the template, in ServiceID.String() order.
+func TestLookupOrdersByID(t *testing.T) {
+	clientHost, _, lookupHost := newNet(t)
+	supplied := []ServiceItem{
+		{ID: ServiceID{0x0f, 0xff}, Type: "x.Y", Endpoint: "supplied-1"},
+		{ID: ServiceID{0xf0}, Type: "x.Y", Endpoint: "supplied-2"},
+		{ID: ServiceID{0x10}, Type: "other.Z", Endpoint: "wrong-type"},
+	}
+	ls, err := NewLookupService(lookupHost, LookupConfig{
+		Items: func(ServiceTemplate) []ServiceItem { return supplied },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+
+	c := NewClient(clientHost, ClientConfig{})
+	for _, id := range []ServiceID{{0xa0}, {0x0a}, {0x00, 0x01}, {0xff, 0xff}, {0x0f, 0xfe, 0x01}} {
+		if _, err := c.Register(ls.Locator(), ServiceItem{ID: id, Type: "x.Y", Endpoint: "registered"}, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	remote, err := c.Lookup(ls.Locator(), ServiceTemplate{Type: "x.Y"}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, items := range [][]ServiceItem{ls.Lookup(ServiceTemplate{Type: "x.Y"}), remote} {
+		if len(items) != 7 {
+			t.Fatalf("lookup = %+v, want 5 registered + 2 supplied", items)
+		}
+		if !slices.IsSortedFunc(items, func(a, b ServiceItem) int {
+			return strings.Compare(a.ID.String(), b.ID.String())
+		}) {
+			t.Errorf("lookup not in String() order: %+v", items)
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package jini
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -20,6 +22,11 @@ type LookupConfig struct {
 	ProcessingDelay time.Duration
 	// UnicastPort is the TCP port of unicast discovery (default 4160).
 	UnicastPort int
+	// Items, when set, supplies items the lookup service serves beside
+	// its registrations. Lookup calls it with the template on every
+	// lookup and keeps the returned items the template matches, so it
+	// may return a superset. It is called with no lock held.
+	Items func(ServiceTemplate) []ServiceItem
 }
 
 func (c LookupConfig) groups() []string {
@@ -250,25 +257,26 @@ func (ls *LookupService) handleLookup(r *jreader) []byte {
 	return w.buf
 }
 
-// Lookup returns the registered items matching the template, usable both
-// remotely and in-process (for the INDISS unit living on the same host).
+// Lookup returns the registered items and the cfg.Items items that match
+// the template, ordered by ID.
 func (ls *LookupService) Lookup(tmpl ServiceTemplate) []ServiceItem {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
 	var out []ServiceItem
+	ls.mu.Lock()
 	for _, item := range ls.items {
 		if tmpl.Matches(item) {
 			out = append(out, item)
 		}
 	}
-	// Deterministic order by ID.
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j].ID.String() < out[i].ID.String() {
-				out[i], out[j] = out[j], out[i]
+	ls.mu.Unlock()
+	if ls.cfg.Items != nil {
+		for _, item := range ls.cfg.Items(tmpl) {
+			if tmpl.Matches(item) {
+				out = append(out, item)
 			}
 		}
 	}
+	// Byte order is String() order: String renders fixed-width hex.
+	slices.SortFunc(out, func(a, b ServiceItem) int { return bytes.Compare(a.ID[:], b.ID[:]) })
 	return out
 }
 

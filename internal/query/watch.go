@@ -16,9 +16,9 @@ type watchHub struct {
 	done   chan struct{}
 
 	mu     sync.Mutex
-	ring   []watchEvent // fixed capacity, modular indexing by seq
-	head   uint64       // seq the NEXT event will get
-	count  int          // live events: seqs [head-count, head)
+	ring   []watchEvent  // fixed capacity, modular indexing by seq
+	head   uint64        // seq the NEXT event will get
+	count  int           // live events: seqs [head-count, head)
 	notify chan struct{} // closed and replaced on every append
 	closed bool
 }

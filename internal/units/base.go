@@ -1,6 +1,7 @@
 package units
 
 import (
+	"crypto/md5"
 	"slices"
 	"strconv"
 	"strings"
@@ -12,9 +13,13 @@ import (
 	"indiss/internal/netapi"
 )
 
-// defaultQueryTimeout bounds a unit's native follow-up exchange when
+// queryTimeout bounds a unit's native follow-up exchange when
 // translating a foreign request.
-const defaultQueryTimeout = 2 * time.Second
+const queryTimeout = 2 * time.Second
+
+// announceInterval spaces a unit's re-advertisements in active mode and
+// the Jini bridge registrar's announcements.
+const announceInterval = 500 * time.Millisecond
 
 // Bridge origin markers. Two INDISS gateways sharing a segment (or a
 // federation making one gateway's knowledge another's) must never
@@ -89,7 +94,6 @@ type base struct {
 	mu       sync.Mutex
 	ctx      *core.UnitContext
 	pendings map[string]*pending
-	answered map[string]time.Time // reqIDs already replied (first wins)
 	readv    bool
 	stopped  bool
 
@@ -101,7 +105,6 @@ func newBase(name string, sdp core.SDP) *base {
 		name:     name,
 		sdp:      sdp,
 		pendings: make(map[string]*pending),
-		answered: make(map[string]time.Time),
 	}
 }
 
@@ -160,11 +163,6 @@ func (b *base) addPending(p *pending) {
 			delete(b.pendings, id)
 		}
 	}
-	for id, at := range b.answered {
-		if now.Sub(at) > pendingTTL {
-			delete(b.answered, id)
-		}
-	}
 	b.pendings[p.reqID] = p
 }
 
@@ -179,7 +177,6 @@ func (b *base) takePending(reqID string) (*pending, bool) {
 		return nil, false
 	}
 	delete(b.pendings, reqID)
-	b.answered[reqID] = now
 	return p, true
 }
 
@@ -421,6 +418,15 @@ func ttlSeconds(expires time.Time) int {
 // originOf extracts the stream's origin SDP.
 func originOf(s events.Stream) core.SDP {
 	return core.SDP(s.FirstData(events.NetType))
+}
+
+// recordID hashes a record's (origin, URL) identity, the view's key, into
+// the 128 bits the bridge registrar's ServiceIDs and the UPnP unit's
+// device UUIDs are made of: a bridged service keeps one identity for as
+// long as the view holds it. MD5 is the name hash of RFC 4122 version 3
+// UUIDs; nothing here depends on it resisting attack.
+func recordID(origin core.SDP, url string) [16]byte {
+	return md5.Sum([]byte(string(origin) + "|" + url))
 }
 
 // fnv32a is the 32-bit FNV-1a hash the units derive stable ids from

@@ -13,15 +13,6 @@ import (
 	"indiss/internal/netapi"
 )
 
-// DNSSDUnitConfig tunes the DNS-SD unit.
-type DNSSDUnitConfig struct {
-	// QueryTimeout bounds native mDNS follow-up queries.
-	QueryTimeout time.Duration
-	// AnnounceInterval spaces re-advertisement announcements in active
-	// mode.
-	AnnounceInterval time.Duration
-}
-
 // DNSSDUnit is the INDISS unit for DNS-SD over mDNS (Zeroconf/Bonjour).
 // Its parser maps PTR queries to SDP_SERVICE_REQUEST streams and
 // multicast announcements to SDP_SERVICE_ALIVE/BYEBYE streams; its
@@ -31,7 +22,6 @@ type DNSSDUnitConfig struct {
 // concrete: no existing unit changed to admit it.
 type DNSSDUnit struct {
 	*base
-	cfg DNSSDUnitConfig
 
 	conn    netapi.PacketConn // composing socket, marked self
 	querier *dnssd.Querier
@@ -42,16 +32,9 @@ type DNSSDUnit struct {
 var _ core.Unit = (*DNSSDUnit)(nil)
 
 // NewDNSSDUnit builds an unstarted DNS-SD unit.
-func NewDNSSDUnit(cfg DNSSDUnitConfig) *DNSSDUnit {
-	if cfg.QueryTimeout <= 0 {
-		cfg.QueryTimeout = defaultQueryTimeout
-	}
-	if cfg.AnnounceInterval <= 0 {
-		cfg.AnnounceInterval = 500 * time.Millisecond
-	}
+func NewDNSSDUnit() *DNSSDUnit {
 	u := &DNSSDUnit{
 		base: newBase("dnssd-unit", core.SDPDNSSD),
-		cfg:  cfg,
 		stop: make(chan struct{}),
 	}
 	u.onRequest = u.queryNative
@@ -73,7 +56,7 @@ func (u *DNSSDUnit) Start(ctx *core.UnitContext) error {
 	// (ours or a peer gateway's) in the cache would satisfy a Browse
 	// that exists to find native responders.
 	u.querier = dnssd.NewQuerier(ctx.Stack, dnssd.QuerierConfig{
-		Timeout:    u.cfg.QueryTimeout,
+		Timeout:    queryTimeout,
 		MarkSelf:   ctx.Self.Mark,
 		UnmarkSelf: ctx.Self.Unmark,
 		Ignore: func(inst dnssd.Instance) bool {
@@ -242,13 +225,13 @@ func (u *DNSSDUnit) queryNative(s events.Stream) {
 	// a second socket or timeout.
 	services := []string{dnssdTypeFromKind(kind), dnssdUDPTypeFromKind(kind)}
 	if kind == "" {
-		types, err := u.querier.BrowseTypes(u.cfg.QueryTimeout)
+		types, err := u.querier.BrowseTypes(queryTimeout)
 		if err != nil {
 			return // no native DNS-SD responders present
 		}
 		services = types
 	}
-	insts, err := u.querier.BrowseEach(services, u.cfg.QueryTimeout)
+	insts, err := u.querier.BrowseEach(services, queryTimeout)
 	if err != nil {
 		return
 	}
@@ -428,7 +411,7 @@ func (u *DNSSDUnit) sendAnnouncement(rec core.ServiceRecord, goodbye bool) {
 // announceLoop periodically re-advertises every known foreign service
 // while active re-advertisement is on.
 func (u *DNSSDUnit) announceLoop() {
-	ticker := time.NewTicker(u.cfg.AnnounceInterval)
+	ticker := time.NewTicker(announceInterval)
 	defer ticker.Stop()
 	for {
 		select {

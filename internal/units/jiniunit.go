@@ -3,6 +3,7 @@ package units
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -14,23 +15,17 @@ import (
 
 // JiniUnitConfig tunes the Jini unit.
 type JiniUnitConfig struct {
-	// QueryTimeout bounds native Jini follow-up exchanges.
-	QueryTimeout time.Duration
 	// RegistrarPort is the TCP port of the bridge registrar's unicast
 	// discovery (default 4161, clear of a native lookup service's
 	// 4160).
 	RegistrarPort int
-	// AnnounceInterval spaces the bridge registrar's announcements.
-	AnnounceInterval time.Duration
 	// Groups the unit serves.
 	Groups []string
-	// SyncInterval spaces the unit's view↔registrar reconciliation: the
-	// registrar absorbs foreign records from the view (including ones a
-	// federation peer delivered, which never ride the local bus), and
-	// any known native lookup service is polled so its items reach the
-	// view passively — Jini items are never multicast, so without the
-	// pull a Jini service is invisible until someone asks. Zero uses
-	// 500ms; negative disables the loop.
+	// SyncInterval spaces the unit's polls of the native lookup
+	// services it has heard announcing: each poll feeds their items
+	// into the view passively — Jini items are never multicast, so
+	// without the pull a Jini service is invisible until someone asks.
+	// Zero uses 500ms; negative disables the loop.
 	SyncInterval time.Duration
 	// CacheTTL bounds how long an absorbed native Jini item stays in
 	// the view without re-confirmation by a pull or a lookup — Jini has
@@ -44,17 +39,14 @@ type JiniUnitConfig struct {
 // unicast exchanges with a lookup service, so the bridge cannot intercept
 // them the way it intercepts multicast searches; instead the unit *is* a
 // lookup service: it answers multicast discovery requests like any
-// registrar, and serves foreign services (synced from the view and from
-// response streams) to Jini clients that look them up.
+// registrar, and serves the view's foreign services to Jini clients that
+// look them up.
 type JiniUnit struct {
 	*base
 	cfg JiniUnitConfig
 
 	registrar *jini.LookupService
 	client    *jini.Client
-
-	idMu sync.Mutex
-	ids  map[string]jini.ServiceID // origin|url → registered bridge item
 
 	nativeMu sync.Mutex
 	// natives tracks every non-self lookup service heard announcing, by
@@ -73,14 +65,8 @@ var _ core.Unit = (*JiniUnit)(nil)
 
 // NewJiniUnit builds an unstarted Jini unit.
 func NewJiniUnit(cfg JiniUnitConfig) *JiniUnit {
-	if cfg.QueryTimeout <= 0 {
-		cfg.QueryTimeout = defaultQueryTimeout
-	}
 	if cfg.RegistrarPort == 0 {
 		cfg.RegistrarPort = 4161
-	}
-	if cfg.AnnounceInterval <= 0 {
-		cfg.AnnounceInterval = 500 * time.Millisecond
 	}
 	if cfg.CacheTTL <= 0 {
 		cfg.CacheTTL = 30 * time.Minute
@@ -91,11 +77,12 @@ func NewJiniUnit(cfg JiniUnitConfig) *JiniUnit {
 	u := &JiniUnit{
 		base: newBase("jini-unit", core.SDPJini),
 		cfg:  cfg,
-		ids:  make(map[string]jini.ServiceID),
 		stop: make(chan struct{}),
 	}
 	u.onRequest = u.queryNative
-	u.onOther = u.composeOther
+	// Foreign knowledge reaches Jini clients through the view the
+	// registrar serves, so only request streams need handling.
+	u.onOther = func(events.Stream) {}
 	return u
 }
 
@@ -113,7 +100,10 @@ func (u *JiniUnit) Start(ctx *core.UnitContext) error {
 	registrar, err := jini.NewLookupService(ctx.Stack, jini.LookupConfig{
 		Groups:           groups,
 		UnicastPort:      u.cfg.RegistrarPort,
-		AnnounceInterval: u.cfg.AnnounceInterval,
+		AnnounceInterval: announceInterval,
+		Items: func(tmpl jini.ServiceTemplate) []jini.ServiceItem {
+			return registrarItems(ctx.View, tmpl)
+		},
 	})
 	if err != nil {
 		return fmt.Errorf("jini unit: %w", err)
@@ -178,15 +168,9 @@ func (u *JiniUnit) HandleNative(det core.Detection) {
 // parseDiscoveryRequest reacts to a Jini client searching for lookup
 // services: the bridge registrar answers natively on its own; here the
 // unit additionally publishes a browse request so peer units pre-populate
-// the registrar with their services before the client's lookup lands.
+// the view the registrar serves before the client's lookup lands.
 func (u *JiniUnit) parseDiscoveryRequest(det core.Detection) {
 	reqID := "jini-" + det.Src.String()
-	u.addPending(&pending{
-		reqID:  reqID,
-		src:    det.Src,
-		kind:   "",
-		native: map[string]string{},
-	})
 	u.publish(requestStream(core.SDPJini, reqID, det.Src, true, "",
 		events.E(events.JiniGroups, joinComma(u.cfg.Groups)),
 	))
@@ -243,19 +227,6 @@ func (u *JiniUnit) dropLocatorLocked(key string) {
 	delete(u.pulled, key)
 }
 
-// composeOther is the non-request composer half, dispatched by
-// base.OnEvents (which owns the envelope release protocol).
-func (u *JiniUnit) composeOther(s events.Stream) {
-	switch {
-	case s.Has(events.ServiceResponse), s.Has(events.ServiceAlive):
-		// Any foreign service knowledge becomes a bridge registrar
-		// entry, so Jini clients can look it up natively.
-		u.registerForeign(recordFromStream(originOf(s), s))
-	case s.Has(events.ServiceByeBye):
-		u.unregisterForeign(originOf(s), s.FirstData(events.ResServURL))
-	}
-}
-
 // queryNative looks up matching services in the native Jini world (a
 // non-bridge lookup service) and answers with response streams.
 func (u *JiniUnit) queryNative(s events.Stream) {
@@ -268,13 +239,13 @@ func (u *JiniUnit) queryNative(s events.Stream) {
 		return // no native Jini infrastructure present
 	}
 	ctx.Profile.Delay()
-	items, err := u.client.Lookup(loc, jini.ServiceTemplate{}, u.cfg.QueryTimeout)
+	items, err := u.client.Lookup(loc, jini.ServiceTemplate{}, queryTimeout)
 	if err != nil {
 		return
 	}
 	for _, item := range items {
 		if isBridgeItem(item) {
-			continue // a bridge-created mirror, not native knowledge
+			continue // a bridge registrar's item, not native knowledge
 		}
 		itemKind := kindFromJiniType(item.Type)
 		if kind != "" && itemKind != baseKind(kind) {
@@ -315,7 +286,7 @@ func (u *JiniUnit) findNativeLookup() (jini.Locator, bool) {
 	}
 	u.nativeMu.Unlock()
 	own := u.registrar.Locator()
-	deadline := time.Now().Add(u.cfg.QueryTimeout)
+	deadline := time.Now().Add(queryTimeout)
 	for time.Now().Before(deadline) {
 		found, groups, err := u.client.DiscoverLookupGroups(time.Until(deadline))
 		if err != nil {
@@ -355,66 +326,60 @@ func baseKind(kind string) string {
 	return kind
 }
 
-// registerForeign mirrors a foreign service into the bridge registrar.
-// Locally heard Jini services are excluded — their own lookup service
-// serves them — but a *remote* Jini record is as foreign as any other:
-// no native infrastructure on this segment knows it.
-func (u *JiniUnit) registerForeign(rec core.ServiceRecord) {
-	if (rec.Origin == core.SDPJini && !rec.Remote) || rec.URL == "" {
-		return
+// registrarItems lists the view's records the bridge registrar serves to
+// Jini clients: every foreign record with a kind. Locally heard Jini
+// services are left out — their own lookup service serves them — but a
+// remote Jini record is as foreign as any other: no native
+// infrastructure on this segment knows it. The filter and the template's
+// type run inside the view scan, so a record the lookup cannot return
+// costs no allocation.
+func registrarItems(view *core.ServiceView, tmpl jini.ServiceTemplate) []jini.ServiceItem {
+	recs := view.FindWhere("", time.Now(), func(rec *core.ServiceRecord) bool {
+		return rec.Kind != "" && (rec.Origin != core.SDPJini || rec.Remote) &&
+			bridgeTypeMatches(tmpl.Type, rec.Kind)
+	})
+	items := make([]jini.ServiceItem, 0, len(recs))
+	for _, rec := range recs {
+		attrs := make([]jini.Entry, 0, 2+len(rec.Attrs))
+		attrs = append(attrs,
+			jini.Entry{Name: "kind", Value: rec.Kind},
+			jini.Entry{Name: jiniOriginAttr, Value: string(rec.Origin)},
+		)
+		for name, value := range rec.Attrs {
+			attrs = append(attrs, jini.Entry{Name: name, Value: value})
+		}
+		items = append(items, jini.ServiceItem{
+			ID:       jini.ServiceID(recordID(rec.Origin, rec.URL)),
+			Type:     jiniTypeFromKind(rec.Kind),
+			Endpoint: rec.URL,
+			Attrs:    attrs,
+		})
 	}
-	attrs := []jini.Entry{
-		{Name: "kind", Value: rec.Kind},
-		{Name: "origin", Value: string(rec.Origin)},
-	}
-	for name, value := range rec.Attrs {
-		attrs = append(attrs, jini.Entry{Name: name, Value: value})
-	}
-	item := jini.ServiceItem{
-		Type:     jiniTypeFromKind(rec.Kind),
-		Endpoint: rec.URL,
-		Attrs:    attrs,
-	}
-	key := string(rec.Origin) + "|" + rec.URL
-	u.idMu.Lock()
-	if id, known := u.ids[key]; known {
-		item.ID = id
-	}
-	u.idMu.Unlock()
-
-	id, err := u.registrar.RegisterLocal(item)
-	if err != nil {
-		return
-	}
-	u.idMu.Lock()
-	u.ids[key] = id
-	u.idMu.Unlock()
+	return items
 }
 
-func (u *JiniUnit) unregisterForeign(origin core.SDP, url string) {
-	key := string(origin) + "|" + url
-	u.idMu.Lock()
-	id, ok := u.ids[key]
-	if ok {
-		delete(u.ids, key)
+// bridgeTypeMatches is jini template type matching (an exact match or a
+// package prefix at a '.' boundary) against jiniTypeFromKind(kind),
+// "org.indiss.<baseKind(kind)>.Service", without building that name.
+func bridgeTypeMatches(want, kind string) bool {
+	if want == "" || want == "org" || want == "org.indiss" {
+		return true
 	}
-	u.idMu.Unlock()
-	if ok {
-		u.registrar.Unregister(id)
+	rest, ok := strings.CutPrefix(want, "org.indiss.")
+	if !ok {
+		return false
 	}
+	kindBase := baseKind(kind)
+	if len(rest) <= len(kindBase) {
+		return strings.HasPrefix(kindBase, rest) && (len(rest) == len(kindBase) || kindBase[len(rest)] == '.')
+	}
+	return strings.HasPrefix(rest, kindBase) && rest[len(kindBase):] == ".Service"
 }
 
-// syncLoop reconciles the registrar with the shared view both ways.
-//
-// Push: every foreign record in the view becomes a registrar item, so a
-// Jini client can look up a service that arrived over the federation —
-// remote records never ride the local bus, so the stream-driven
-// registerForeign alone would miss them.
-//
-// Pull: a known native lookup service is polled and its items fed into
-// the view as Jini records. Jini has no multicast item advertisement, so
-// without the pull a native Jini service stays invisible to peers (and
-// to federation peers on other segments) until a request happens to ask.
+// syncLoop polls the known native lookup services. Jini has no multicast
+// item advertisement, so without the pull a native Jini service stays
+// invisible to peers (and to federation peers on other segments) until a
+// request happens to ask.
 func (u *JiniUnit) syncLoop() {
 	ticker := time.NewTicker(u.cfg.SyncInterval)
 	defer ticker.Stop()
@@ -423,18 +388,9 @@ func (u *JiniUnit) syncLoop() {
 		case <-u.stop:
 			return
 		case <-ticker.C:
-			ctx := u.context()
-			if ctx == nil {
-				continue
+			if ctx := u.context(); ctx != nil {
+				u.pullNativeItems(ctx)
 			}
-			now := time.Now()
-			for _, rec := range ctx.View.Find("", now) {
-				// registerForeign filters out what must not be
-				// mirrored (local Jini records: the native lookup
-				// service already serves them).
-				u.registerForeign(rec)
-			}
-			u.pullNativeItems(ctx)
 		}
 	}
 }
@@ -467,7 +423,7 @@ func (u *JiniUnit) pullNativeItems(ctx *core.UnitContext) {
 
 // pullOneRegistrar polls one registrar and reconciles the view with it.
 func (u *JiniUnit) pullOneRegistrar(ctx *core.UnitContext, key string, loc jini.Locator) {
-	items, err := u.client.Lookup(loc, jini.ServiceTemplate{}, u.cfg.QueryTimeout)
+	items, err := u.client.Lookup(loc, jini.ServiceTemplate{}, queryTimeout)
 	if err != nil {
 		// Gone or unreachable — indistinguishable from a partition, so
 		// retract nothing: its mirrored items fade by CacheTTL, and the

@@ -13,13 +13,8 @@ import (
 
 // SLPUnitConfig tunes the SLP unit.
 type SLPUnitConfig struct {
-	// QueryTimeout bounds native SLP follow-up queries.
-	QueryTimeout time.Duration
 	// Scopes the unit operates in.
 	Scopes []string
-	// AnnounceInterval spaces re-advertisement SAAdverts when the
-	// adaptation policy enables active mode. Zero uses 500ms.
-	AnnounceInterval time.Duration
 }
 
 // SLPUnit is the INDISS unit for the Service Location Protocol: its
@@ -39,12 +34,6 @@ var _ core.Unit = (*SLPUnit)(nil)
 
 // NewSLPUnit builds an unstarted SLP unit.
 func NewSLPUnit(cfg SLPUnitConfig) *SLPUnit {
-	if cfg.QueryTimeout <= 0 {
-		cfg.QueryTimeout = defaultQueryTimeout
-	}
-	if cfg.AnnounceInterval <= 0 {
-		cfg.AnnounceInterval = 500 * time.Millisecond
-	}
 	u := &SLPUnit{
 		base: newBase("slp-unit", core.SDPSLP),
 		cfg:  cfg,
@@ -318,7 +307,7 @@ func (u *SLPUnit) queryNative(s events.Stream) {
 	if err := conn.WriteTo(data, netapi.Addr{IP: slp.MulticastGroup, Port: slp.Port}); err != nil {
 		return
 	}
-	deadline := time.Now().Add(u.cfg.QueryTimeout)
+	deadline := time.Now().Add(queryTimeout)
 	for {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
@@ -410,7 +399,7 @@ func (u *SLPUnit) onForeignBye(events.Stream) {
 // announceLoop periodically re-advertises every known foreign service
 // while active re-advertisement is on.
 func (u *SLPUnit) announceLoop() {
-	ticker := time.NewTicker(u.cfg.AnnounceInterval)
+	ticker := time.NewTicker(announceInterval)
 	defer ticker.Stop()
 	for {
 		select {

@@ -21,7 +21,7 @@ func registry() *core.Registry {
 	r.Register(core.SDPSLP, func() core.Unit { return NewSLPUnit(SLPUnitConfig{}) })
 	r.Register(core.SDPUPnP, func() core.Unit { return NewUPnPUnit(UPnPUnitConfig{}) })
 	r.Register(core.SDPJini, func() core.Unit { return NewJiniUnit(JiniUnitConfig{}) })
-	r.Register(core.SDPDNSSD, func() core.Unit { return NewDNSSDUnit(DNSSDUnitConfig{}) })
+	r.Register(core.SDPDNSSD, func() core.Unit { return NewDNSSDUnit() })
 	return r
 }
 
@@ -334,8 +334,8 @@ func TestJiniClientFindsSLPService(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DiscoverLookup: %v", err)
 	}
-	// The browse published at discovery time populates the registrar
-	// asynchronously; poll the lookup.
+	// The browse published at discovery time populates the view the
+	// registrar serves asynchronously; poll the lookup.
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		items, err := c.Lookup(loc, jini.ServiceTemplate{Type: "org.indiss.clock.Service"}, time.Second)

@@ -1,10 +1,11 @@
 package units
 
 import (
+	"encoding/hex"
 	"fmt"
+	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"indiss/internal/core"
@@ -19,17 +20,10 @@ import (
 
 // UPnPUnitConfig tunes the UPnP unit.
 type UPnPUnitConfig struct {
-	// QueryTimeout bounds native UPnP follow-up exchanges.
-	QueryTimeout time.Duration
 	// DescriptionPort is the TCP port of the bridge's synthesized
 	// description server (default 4104). If taken, an ephemeral port is
 	// used.
 	DescriptionPort int
-	// MX is the maximum response delay requested in composed
-	// M-SEARCHes. The paper's composed request uses MX: 0.
-	MX int
-	// AnnounceInterval spaces re-advertisement NOTIFYs in active mode.
-	AnnounceInterval time.Duration
 }
 
 // UPnPUnit is the INDISS unit for UPnP. It is the paper's running example
@@ -46,11 +40,6 @@ type UPnPUnit struct {
 	descAddr netapi.Addr
 	queryFSM *fsm.Machine
 
-	descMu    sync.Mutex
-	descDocs  map[string][]byte // path → synthesized description
-	descPaths map[string]string // origin|url → path
-	descSeq   int
-
 	stop chan struct{}
 }
 
@@ -59,22 +48,14 @@ var _ core.Unit = (*UPnPUnit)(nil)
 
 // NewUPnPUnit builds an unstarted UPnP unit.
 func NewUPnPUnit(cfg UPnPUnitConfig) *UPnPUnit {
-	if cfg.QueryTimeout <= 0 {
-		cfg.QueryTimeout = defaultQueryTimeout
-	}
 	if cfg.DescriptionPort == 0 {
 		cfg.DescriptionPort = 4104
 	}
-	if cfg.AnnounceInterval <= 0 {
-		cfg.AnnounceInterval = 500 * time.Millisecond
-	}
 	u := &UPnPUnit{
-		base:      newBase("upnp-unit", core.SDPUPnP),
-		cfg:       cfg,
-		queryFSM:  buildUPnPQueryFSM(),
-		descDocs:  make(map[string][]byte),
-		descPaths: make(map[string]string),
-		stop:      make(chan struct{}),
+		base:     newBase("upnp-unit", core.SDPUPnP),
+		cfg:      cfg,
+		queryFSM: buildUPnPQueryFSM(),
+		stop:     make(chan struct{}),
 	}
 	u.onRequest = u.queryNative
 	u.onOther = u.composeOther
@@ -137,10 +118,10 @@ func (u *UPnPUnit) Start(ctx *core.UnitContext) error {
 		}
 	}
 	u.descAddr = l.Addr()
+	u.attach(ctx) // before serving: descriptions render from ctx.View
 	u.descSrv = &httpx.Server{Handler: u.serveDescription}
 	u.descSrv.Start(l)
 
-	u.attach(ctx)
 	ctx.Bus.Subscribe(u.name, events.ListenerFunc(u.OnEvents))
 	u.spawn(u.announceLoop)
 	return nil
@@ -311,9 +292,9 @@ func (u *UPnPUnit) queryNative(s events.Stream) {
 
 	// Compose the M-SEARCH of Figure 4 step ① — tagged as
 	// bridge-composed so a peer gateway's unit does not translate it.
+	// Like the paper's composed request, it asks for MX: 0.
 	search := &ssdp.SearchRequest{
 		ST:        upnpTargetFromKind(kind),
-		MX:        u.cfg.MX,
 		UserAgent: "indiss-bridge/1.0",
 	}
 	ctx.Profile.Delay()
@@ -324,7 +305,7 @@ func (u *UPnPUnit) queryNative(s events.Stream) {
 	inst := u.queryFSM.NewInstance()
 	inst.SetVar("kind", kind)
 
-	deadline := time.Now().Add(u.cfg.QueryTimeout)
+	deadline := time.Now().Add(queryTimeout)
 	resp := u.awaitSearchResponse(conn, deadline)
 	if resp == nil {
 		return
@@ -422,7 +403,7 @@ func (u *UPnPUnit) fetchAndParseDescription(location string) (events.Stream, map
 	if err != nil {
 		return nil, nil, err
 	}
-	resp, err := httpx.Get(ctx.Stack, addr, path, u.cfg.QueryTimeout)
+	resp, err := httpx.Get(ctx.Stack, addr, path, queryTimeout)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -494,12 +475,11 @@ func (u *UPnPUnit) composeFromResponse(s events.Stream) {
 	u.composeSearchResponse(p, rec)
 }
 
-// composeSearchResponse synthesizes a description document for the
-// foreign service (UPnP clients require a LOCATION to dereference) and
-// answers the search.
+// composeSearchResponse answers the search with the foreign service's
+// synthesized device (UPnP clients require a LOCATION to dereference).
 func (u *UPnPUnit) composeSearchResponse(p *pending, rec core.ServiceRecord) {
 	ctx := u.context()
-	location, usn := u.ensureDescription(rec)
+	location, usn := u.bridgeDevice(rec)
 	st := p.native["st"]
 	if st == "" || st == ssdp.TargetAll {
 		st = upnpTargetFromKind(rec.Kind)
@@ -523,24 +503,68 @@ func ttlOrDefault(expires time.Time) int {
 	return secs
 }
 
-// ensureDescription registers (idempotently) a synthesized description
-// document for a foreign service and returns its location URL and USN.
-func (u *UPnPUnit) ensureDescription(rec core.ServiceRecord) (location, usn string) {
-	key := string(rec.Origin) + "|" + rec.URL
-	kindBase, _, _ := strings.Cut(rec.Kind, ":")
-	if kindBase == "" {
-		kindBase = "service"
-	}
+// bridgeDevice returns the LOCATION and USN under which the unit presents
+// a foreign record. Both are pure functions of the record's (origin, URL)
+// identity: the LOCATION path carries it for serveDescription to resolve,
+// and the device UUID hashes it.
+func (u *UPnPUnit) bridgeDevice(rec core.ServiceRecord) (location, usn string) {
+	return upnp.HTTPURL(u.descAddr, descPath(rec.Origin, rec.URL)),
+		bridgeUDN(rec) + "::" + upnp.TypeURN(upnpKindBase(rec.Kind), 1)
+}
 
-	u.descMu.Lock()
-	defer u.descMu.Unlock()
-	path, ok := u.descPaths[key]
-	if !ok {
-		u.descSeq++
-		path = fmt.Sprintf("/bridge/%s-%d/description.xml", kindBase, u.descSeq)
-		u.descPaths[key] = path
+func upnpKindBase(kind string) string {
+	kindBase, _, _ := strings.Cut(kind, ":")
+	if kindBase == "" {
+		return "service"
 	}
-	uuid := bridgeUSNPrefix + "-" + kindBase + "-" + strconv.Itoa(len(u.descPaths))
+	return kindBase
+}
+
+func bridgeUDN(rec core.ServiceRecord) string {
+	id := recordID(rec.Origin, rec.URL)
+	return bridgeUSNPrefix + "-" + hex.EncodeToString(id[:])
+}
+
+// descPath is the description path of a bridged record: its view key,
+// origin|URL, percent-escaped into one path segment.
+func descPath(origin core.SDP, serviceURL string) string {
+	return "/bridge/" + url.PathEscape(string(origin)+"|"+serviceURL) + "/description.xml"
+}
+
+// parseDescPath inverts descPath.
+func parseDescPath(path string) (core.SDP, string, bool) {
+	seg, ok := strings.CutPrefix(path, "/bridge/")
+	if !ok {
+		return "", "", false
+	}
+	seg, ok = strings.CutSuffix(seg, "/description.xml")
+	if !ok {
+		return "", "", false
+	}
+	key, err := url.PathUnescape(seg)
+	if err != nil {
+		return "", "", false
+	}
+	origin, serviceURL, ok := strings.Cut(key, "|")
+	return core.SDP(origin), serviceURL, ok
+}
+
+// serveDescription renders the description of the bridged record a GET
+// path names, from the view as it stands. A record the view no longer
+// holds is 404, and so is a native UPnP one: its own device describes it.
+func (u *UPnPUnit) serveDescription(req *httpx.Request) *httpx.Response {
+	if req.Method != "GET" {
+		return &httpx.Response{StatusCode: 501}
+	}
+	origin, serviceURL, ok := parseDescPath(req.Target)
+	if !ok || origin == core.SDPUPnP {
+		return &httpx.Response{StatusCode: 404}
+	}
+	rec, ok := u.context().View.Get(origin, serviceURL)
+	if !ok {
+		return &httpx.Response{StatusCode: 404}
+	}
+	kindBase := upnpKindBase(rec.Kind)
 	friendly := rec.Attrs["friendlyName"]
 	if friendly == "" {
 		friendly = strings.Title(kindBase) + " (via " + string(rec.Origin) + ")"
@@ -552,34 +576,19 @@ func (u *UPnPUnit) ensureDescription(rec core.ServiceRecord) (location, usn stri
 		ModelDescription: "Bridged " + string(rec.Origin) + " service at " + rec.URL,
 		ModelName:        kindBase,
 		ModelURL:         rec.URL,
-		UDN:              uuid,
+		UDN:              bridgeUDN(rec),
 		Services: []upnp.ServiceDesc{{
 			ServiceType: upnp.ServiceURN(kindBase, 1),
 			ServiceID:   "urn:upnp-org:serviceId:" + kindBase,
-			SCPDURL:     strings.TrimSuffix(path, "description.xml") + "scpd.xml",
+			SCPDURL:     strings.TrimSuffix(req.Target, "description.xml") + "scpd.xml",
 			ControlURL:  rec.URL,
 			EventSubURL: "",
 		}},
 	}
-	u.descDocs[path] = upnp.MarshalDescription(desc)
-	return upnp.HTTPURL(u.descAddr, path), uuid + "::" + upnp.TypeURN(kindBase, 1)
-}
-
-// serveDescription serves the synthesized documents.
-func (u *UPnPUnit) serveDescription(req *httpx.Request) *httpx.Response {
-	if req.Method != "GET" {
-		return &httpx.Response{StatusCode: 501}
-	}
-	u.descMu.Lock()
-	doc, ok := u.descDocs[req.Target]
-	u.descMu.Unlock()
-	if !ok {
-		return &httpx.Response{StatusCode: 404}
-	}
 	return &httpx.Response{
 		StatusCode: 200,
 		Header:     httpx.NewHeader("CONTENT-TYPE", "text/xml", "SERVER", "indiss-bridge/1.0 UPnP/1.0"),
-		Body:       doc,
+		Body:       upnp.MarshalDescription(desc),
 	}
 }
 
@@ -603,7 +612,7 @@ func (u *UPnPUnit) onForeignBye(s events.Stream) {
 
 func (u *UPnPUnit) sendNotify(rec core.ServiceRecord, nts string) {
 	ctx := u.context()
-	location, usn := u.ensureDescription(rec)
+	location, usn := u.bridgeDevice(rec)
 	kindBase, _, _ := strings.Cut(rec.Kind, ":")
 	n := &ssdp.Notify{
 		NT:       upnp.TypeURN(kindBase, 1),
@@ -618,7 +627,7 @@ func (u *UPnPUnit) sendNotify(rec core.ServiceRecord, nts string) {
 }
 
 func (u *UPnPUnit) announceLoop() {
-	ticker := time.NewTicker(u.cfg.AnnounceInterval)
+	ticker := time.NewTicker(announceInterval)
 	defer ticker.Stop()
 	for {
 		select {
