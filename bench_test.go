@@ -783,6 +783,41 @@ func BenchmarkQueryCachedAnswer(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryAnswerUnderChurn is BenchmarkQueryCachedAnswer with a
+// view that never stands still: before every lookup a record of an
+// unrelated kind is Put. hits/op reports the share of lookups the cache
+// still served; churn on one kind must not flush another kind's answer.
+func BenchmarkQueryAnswerUnderChurn(b *testing.B) {
+	view, now := benchQueryView(256)
+	e := query.NewEngine(view, "gw")
+	buf := make([]byte, 0, 64<<10)
+	churn := core.ServiceRecord{Origin: core.SDPDNSSD, Kind: "churn0", Expires: now.Add(time.Hour)}
+	urls := make([]string, 64)
+	for i := range urls {
+		urls[i] = "dnssd://10.0.1.20:" + strconv.Itoa(10000+i)
+	}
+	var err error
+	if buf, _, err = e.AppendAnswer(buf[:0], "printer", "(color=yes)", now); err != nil {
+		b.Fatal(err)
+	}
+	hits := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		churn.URL = urls[i%len(urls)]
+		view.Put(churn)
+		var hit bool
+		buf, hit, err = e.AppendAnswer(buf[:0], "printer", "(color=yes)", now)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if hit {
+			hits++
+		}
+	}
+	b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+}
+
 // BenchmarkQueryPredicatePushdown evaluates a selective predicate
 // inside the shard scan: rejected records are never copied. Compare
 // with BenchmarkQueryPredicateCopyFilter, the same query phrased the

@@ -38,7 +38,7 @@ func main() {
 	predFrac := flag.Float64("pred-frac", 0.5, "fraction of HTTP queries carrying an SLP predicate")
 	services := flag.Int("services", 256, "services pre-registered per gateway")
 	churn := flag.Bool("churn", true, "churn the view (puts, removes, sub-second TTLs) during the run")
-	churnInterval := flag.Duration("churn-interval", 2*time.Millisecond, "spacing of churn operations per gateway (every put invalidates the whole answer cache)")
+	churnInterval := flag.Duration("churn-interval", 2*time.Millisecond, "spacing of churn operations per gateway (every put invalidates its kind's cached answers)")
 	memBudget := flag.Int64("mem-budget", 0, "ViewMemBudget in bytes (0 = unbounded; >0 adds spill pressure)")
 	paperFabric := flag.Bool("paper-fabric", false, "run on the paper-grade 10 Mb/s campus fabric instead of the gigabit one (measures the simulated pipe as much as the query plane)")
 	pace := flag.Duration("pace", 0, "per-worker delay between queries (0 = closed-loop saturation; >0 = open-loop clients with think time, the right mode for latency measurement)")

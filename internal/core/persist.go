@@ -97,6 +97,12 @@ func (a storeAdapter) ScanKind(kind string, now time.Time, fn func(ServiceRecord
 	})
 }
 
+func (a storeAdapter) SpillGeneration() uint64 { return a.st.SpillGeneration() }
+
+func (a storeAdapter) SpilledKind(origin SDP, url string) (string, bool) {
+	return a.st.SpilledKind(string(origin), url)
+}
+
 // openStorage opens the view log, replays it into the view, attaches
 // the cold tier, and starts the pump and maintenance goroutines. Runs
 // during NewSystem, before the monitor or any unit — the warm records

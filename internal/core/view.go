@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // ServiceRecord is one service INDISS knows about, in SDP-neutral form.
@@ -57,6 +58,16 @@ func (r ServiceRecord) Clone() ServiceRecord {
 // concentrates on few kinds at a time, so a small power of two keeps the
 // footprint negligible while letting unrelated kinds proceed in parallel.
 const viewShardCount = 16
+
+// kindGenStripes is the number of per-kind generation counters. Kinds
+// share a counter only when their hashes collide, so the stripe count
+// sets how often churn on one kind spuriously invalidates an answer for
+// another: at 1024 two given kinds collide with probability 1/1024,
+// where the 16 shards would put every sixteenth kind pair together. The
+// array is fixed (8 KiB per view) whatever the number of kinds ever
+// seen, and a counter never restarts, so a memoized answer for a kind
+// whose records all left can never match a later state by accident.
+const kindGenStripes = 1024
 
 // expiryEntry is one pending expiration in a shard's min-heap. Entries
 // are never updated in place: each record has one *live* entry (matching
@@ -167,14 +178,17 @@ type ServiceView struct {
 
 	shards [viewShardCount]viewShard
 
-	// gen counts view mutations: every Put, Remove and expiry bumps it.
-	// Consumers that memoize derived answers (the query plane's answer
-	// cache, after the federation digest cache's bumpSummaries pattern)
-	// tag their cache with the generation read before the scan and
-	// revalidate with one atomic load. Eviction to the cold tier does
-	// NOT bump it: spilling moves a record's residence, not the answer
-	// set (ScanCold serves it from disk).
-	gen atomic.Uint64
+	// gen counts view mutations: every Put, Remove and expiry bumps it
+	// once. kindGen refines it per kind: the same mutation also bumps
+	// the stripe of every kind whose answer it can change (both kinds
+	// when a Put re-kinds a record). Consumers that memoize derived
+	// answers (the query plane's answer cache, after the federation
+	// digest cache's bumpSummaries pattern) tag an answer with the
+	// counter read before the scan and revalidate with one atomic load.
+	// Eviction to the cold tier bumps neither: spilling moves a record's
+	// residence, not the answer set (ScanCold serves it from disk).
+	gen     atomic.Uint64
+	kindGen [kindGenStripes]atomic.Uint64
 
 	// Delta feed. numSubs mirrors the total subscriber count so the
 	// mutating paths can skip all delta work with one atomic load when
@@ -296,18 +310,43 @@ func (v *ServiceView) SubscribeDeltaBatches(buf int) (<-chan []Delta, func()) {
 	return sub.ch, cancel
 }
 
-// Generation returns the view's mutation counter. Any change to the
-// answer a Find/FindWhere could give — insert, refresh, withdrawal,
-// expiry — has bumped it, so an answer rendered at generation G is
-// still exact while Generation() == G (modulo the records' own TTLs,
-// which the caller bounds separately: expiry only bumps the counter
-// when the lazy sweep collects the record, not at the instant its
-// lifetime lapses).
+// Generation returns the view's whole-view mutation counter. Any
+// change to the answer a Find/FindWhere could give — insert, refresh,
+// withdrawal, expiry — has bumped it, so an answer rendered at
+// generation G is still exact while Generation() == G (modulo the
+// records' own TTLs, which the caller bounds separately: expiry only
+// bumps the counter when the lazy sweep collects the record, not at
+// the instant its lifetime lapses).
 func (v *ServiceView) Generation() uint64 { return v.gen.Load() }
 
+// KindGeneration is Generation narrowed to one kind: it moves on every
+// change to what Find(kind) could return, and otherwise only when a
+// kind sharing its counter stripe changes. The kind is matched
+// case-insensitively, exactly as Put files it; "" means the whole view
+// and returns Generation(). ASCII kinds are looked up without
+// allocating, mixed case included.
+//
+// A spilled record is the exception the counter cannot see on its own:
+// the cold tier changes what ScanCold returns after the view has
+// bumped, so an answer that merged cold records must also hold
+// ColdGeneration.
+func (v *ServiceView) KindGeneration(kind string) uint64 {
+	if kind == "" {
+		return v.gen.Load()
+	}
+	return v.kindGen[kindHash(kind)%kindGenStripes].Load()
+}
+
+// bumpKind moves the counter stripe of a lowercased kind.
+func (v *ServiceView) bumpKind(lk string) { v.kindGen[kindHash(lk)%kindGenStripes].Add(1) }
+
 // bumpGen invalidates generation-memoized consumers; every mutation
-// that can change a query answer calls it.
-func (v *ServiceView) bumpGen() { v.gen.Add(1) }
+// that can change a query answer calls it with the lowercased kind it
+// changed.
+func (v *ServiceView) bumpGen(lk string) {
+	v.bumpKind(lk)
+	v.gen.Add(1)
+}
 
 // wantDeltas gates delta collection on the mutating paths.
 func (v *ServiceView) wantDeltas() bool { return v.numSubs.Load() > 0 }
@@ -335,14 +374,32 @@ func viewKey(origin SDP, url string) string {
 	return string(origin) + "|" + url
 }
 
-// shardFor picks the shard for a lowercased kind (FNV-1a).
-func (v *ServiceView) shardFor(loweredKind string) *viewShard {
+// kindHash is FNV-1a over strings.ToLower(kind): it picks the kind's
+// shard and its generation stripe. ASCII letters are lowered on the fly,
+// so a mixed-case lookup does not allocate; a non-ASCII kind takes
+// strings.ToLower itself, the only way to match what Put stored.
+func kindHash(kind string) uint32 {
+	for i := 0; i < len(kind); i++ {
+		if kind[i] >= utf8.RuneSelf {
+			kind = strings.ToLower(kind)
+			break
+		}
+	}
 	var h uint32 = 2166136261
-	for i := 0; i < len(loweredKind); i++ {
-		h ^= uint32(loweredKind[i])
+	for i := 0; i < len(kind); i++ {
+		c := kind[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		h ^= uint32(c)
 		h *= 16777619
 	}
-	return &v.shards[h%viewShardCount]
+	return h
+}
+
+// shardFor picks the shard for a lowercased kind.
+func (v *ServiceView) shardFor(loweredKind string) *viewShard {
+	return &v.shards[kindHash(loweredKind)%viewShardCount]
 }
 
 // Put inserts or refreshes a record.
@@ -362,7 +419,14 @@ func (v *ServiceView) Put(rec ServiceRecord) {
 		sh := v.shardFor(old)
 		sh.mu.Lock()
 		v.deleteFromBucket(sh, old, key)
+		v.bumpKind(old)
 		sh.mu.Unlock()
+	} else if !ok {
+		// A spilled record re-put under another kind leaves the old
+		// kind's cold answer; keysMu orders this against eviction.
+		if old, spilled := v.spilledKind(rec.Origin, rec.URL); spilled && old != lk {
+			v.bumpKind(old)
+		}
 	}
 	v.keys[key] = lk
 
@@ -390,7 +454,7 @@ func (v *ServiceView) Put(rec ServiceRecord) {
 		pushExpiry(sh, expiryEntry{at: rec.Expires, kind: lk, key: key, seq: sh.seq})
 		sh.armed[ak] = armedState{seq: sh.seq, at: rec.Expires}
 	}
-	v.bumpGen()
+	v.bumpGen(lk)
 	if v.wantDeltas() {
 		deltas = append(deltas, Delta{Op: DeltaPut, Record: stored})
 	}
@@ -424,7 +488,7 @@ func (v *ServiceView) Remove(origin SDP, url string) bool {
 		// it from there, announcing the removal so the storage pump and
 		// the federation see the withdrawal like any other.
 		if rec, spilled := v.coldLookup(origin, url, time.Now()); spilled {
-			v.bumpGen()
+			v.bumpGen(strings.ToLower(rec.Kind))
 			v.emitDeltas([]Delta{{Op: DeltaRemove, Record: rec}})
 			return true
 		}
@@ -441,7 +505,7 @@ func (v *ServiceView) Remove(origin SDP, url string) bool {
 		}
 	}
 	v.deleteFromBucket(sh, lk, key)
-	v.bumpGen()
+	v.bumpGen(lk)
 	sh.mu.Unlock()
 	v.keysMu.Unlock()
 	v.emitDeltas(deltas)
@@ -676,7 +740,7 @@ func (v *ServiceView) sweepShardLocked(sh *viewShard, now time.Time, deltas []De
 			deltas = append(deltas, Delta{Op: DeltaExpire, Record: rec})
 		}
 		v.deleteFromBucket(sh, entry.kind, entry.key)
-		v.bumpGen()
+		v.bumpGen(entry.kind)
 		delete(sh.armed, ak)
 		// Only unindex the key if it still routes to this bucket (it may
 		// have been re-put under another kind).

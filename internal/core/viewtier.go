@@ -13,8 +13,9 @@ import (
 // memory-only exactly as before.
 //
 // Implementations must be safe for concurrent use and must never call
-// back into the view (the view invokes them with no locks held, and
-// re-entry would deadlock on the mutating paths).
+// back into the view (the view invokes them with no locks held, save
+// KindScanner.SpilledKind, and re-entry would deadlock on the mutating
+// paths).
 type ViewStorage interface {
 	// Spill durably persists the records before the view drops its
 	// memory copies; an error aborts the eviction of those records.
@@ -27,15 +28,26 @@ type ViewStorage interface {
 
 // KindScanner is the optional ViewStorage extension the query plane
 // needs: enumerate the live records of one kind that exist only in the
-// cold tier. Without it, kind scans cover the memory tier only (point
-// lookups still fall through via Lookup). The log-structured store
-// implements it with a kind-tagged keydir, so only matching records pay
-// a disk read.
+// cold tier, and say when that set changed. Without it, kind scans
+// cover the memory tier only (point lookups still fall through via
+// Lookup). The log-structured store implements it with a kind-tagged
+// keydir, so only matching records pay a disk read.
 type KindScanner interface {
 	// ScanKind calls fn for every live spilled record of the kind
 	// (case-insensitive; empty matches every kind), stopping early when
 	// fn returns false. fn must not call back into the storage tier.
 	ScanKind(kind string, now time.Time, fn func(ServiceRecord) bool)
+	// SpillGeneration counts changes to the spilled set: a record
+	// spilled, or a spilled one re-put, erased or dropped. It moves no
+	// earlier than the change is visible to ScanKind. The view's own
+	// counters cannot cover these: the cold tier applies a withdrawal
+	// or re-put after the view has bumped.
+	SpillGeneration() uint64
+	// SpilledKind reports the lowercased kind origin|url was spilled
+	// under, when it is spilled. Unlike every other method it runs
+	// under the view's key lock (Put calls it), so it must not block on
+	// anything a view caller may hold.
+	SpilledKind(origin SDP, url string) (string, bool)
 }
 
 // recSize estimates one record's resident footprint: struct, strings,
@@ -74,6 +86,26 @@ func (v *ServiceView) ScanCold(kind string, now time.Time, fn func(ServiceRecord
 		return
 	}
 	v.kindScan.ScanKind(kind, now, fn)
+}
+
+// ColdGeneration returns the cold tier's SpillGeneration, 0 when ScanCold
+// is a no-op. An answer that merged ScanCold records stays exact only
+// while both it and the kind's KindGeneration hold.
+func (v *ServiceView) ColdGeneration() uint64 {
+	if !v.tiered || v.kindScan == nil {
+		return 0
+	}
+	return v.kindScan.SpillGeneration()
+}
+
+// spilledKind is the kind a disk-only record was spilled under, so a
+// Put that re-kinds it can bump the kind it leaves. It costs nothing
+// until the first eviction: only evicted records are spilled.
+func (v *ServiceView) spilledKind(origin SDP, url string) (string, bool) {
+	if v.kindScan == nil || v.evicted.Load() == 0 {
+		return "", false
+	}
+	return v.kindScan.SpilledKind(origin, url)
 }
 
 // MemUsage returns the estimated resident bytes of the memory tier.
@@ -184,6 +216,7 @@ func (v *ServiceView) evictBucket(ref bucketRef, now time.Time) int {
 		v.keysMu.Lock()
 		sh.mu.Lock()
 		b = sh.kinds[ref.kind]
+		n := 0
 		for i := range batch {
 			rec := &batch[i]
 			key := viewKey(rec.Origin, rec.URL)
@@ -199,12 +232,15 @@ func (v *ServiceView) evictBucket(ref bucketRef, now time.Time) int {
 			if v.keys[key] == ref.kind {
 				delete(v.keys, key)
 			}
-			total++
+			n++
 		}
+		// Counted under keysMu: a Put that finds its key gone must
+		// also find spilledKind armed.
+		v.evicted.Add(uint64(n))
+		total += n
 		sh.mu.Unlock()
 		v.keysMu.Unlock()
 	}
-	v.evicted.Add(uint64(total))
 	return total
 }
 

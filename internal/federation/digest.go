@@ -111,7 +111,8 @@ func (e *Endpoint) bumpSummaries() { e.sumGen.Add(1) }
 // nothing changes — the scan costs O(1), not O(view) per digest. The
 // result is shared and read-only. Local records mint their instance
 // epoch here if the distributor has not yet (the digest must hash the
-// same epoch the announce will carry).
+// same epoch the announce will carry), unless they are buried: see
+// localEpochLocked.
 func (e *Endpoint) buildSummaries() map[string]*originAgg {
 	gen := e.sumGen.Load()
 	e.sumMu.Lock()
@@ -133,7 +134,13 @@ func (e *Endpoint) buildSummaries() map[string]*originAgg {
 
 func (e *Endpoint) buildSummariesSlow() map[string]*originAgg {
 	now := time.Now()
-	recs := e.view.Find("", now)
+	return e.summarize(e.view.Find("", now), now)
+}
+
+// summarize rolls a view snapshot up per origin gateway. The snapshot
+// is taken before e.mu, so it may hold local records the distributor
+// has since withdrawn and buried; those are left out.
+func (e *Endpoint) summarize(recs []core.ServiceRecord, now time.Time) map[string]*originAgg {
 	out := make(map[string]*originAgg)
 	get := func(origin string) *originAgg {
 		agg, ok := out[origin]
@@ -151,8 +158,10 @@ func (e *Endpoint) buildSummariesSlow() map[string]*originAgg {
 		if rec.Remote {
 			origin = rec.OriginGW
 			epoch = e.epochs[key]
+		} else if ep, ok := e.localEpochLocked(key); ok {
+			epoch = ep
 		} else {
-			epoch = e.mintEpochLocked(key)
+			continue
 		}
 		agg := get(origin)
 		agg.sum.LiveCount++

@@ -702,11 +702,29 @@ func (e *Endpoint) mintEpochLocked(key string) uint64 {
 	return ep
 }
 
+// localEpochLocked is the instance epoch a summary or a repair push
+// may use for a local record: its epoch, or a fresh one for a record
+// seen for the first time. A record with a grave and no epoch is
+// refused. The distributor buried it after the caller's view snapshot
+// was taken (a withdrawal) or has not yet handled its Put (a
+// re-registration): minting here would lift a withdrawn record above
+// its grave, and the distributor's DeltaPut mints for a live one.
+// Requires e.mu.
+func (e *Endpoint) localEpochLocked(key string) (uint64, bool) {
+	if ep, ok := e.epochs[key]; ok {
+		return ep, true
+	}
+	if _, buried := e.tombs[key]; buried {
+		return 0, false
+	}
+	return e.mintEpochLocked(key), true
+}
+
 // announceFor renders a record as the ANNOUNCE a peer should receive.
 // Local records enter the federation here: they get this gateway's
 // identity, hop count 0, and their instance epoch (minted on first
-// announce); transit records re-flood with the origin's epoch as
-// learned.
+// announce; a buried one is not announced); transit records re-flood
+// with the origin's epoch as learned.
 func (e *Endpoint) announceFor(rec core.ServiceRecord) (Announce, bool) {
 	ttl := time.Until(rec.Expires)
 	if ttl <= 0 {
@@ -715,12 +733,16 @@ func (e *Endpoint) announceFor(rec core.ServiceRecord) (Announce, bool) {
 	key := viewKey(rec.Origin, rec.URL)
 	e.mu.Lock()
 	var epoch uint64
+	ok := true
 	if rec.Remote {
 		epoch = e.epochs[key]
 	} else {
-		epoch = e.mintEpochLocked(key)
+		epoch, ok = e.localEpochLocked(key)
 	}
 	e.mu.Unlock()
+	if !ok {
+		return Announce{}, false
+	}
 	a := Announce{
 		OriginGW: e.cfg.GatewayID,
 		Hops:     0,

@@ -68,6 +68,49 @@ func TestWithdrawalSurvivesPartitionHeal(t *testing.T) {
 	}
 }
 
+// TestStaleSnapshotDoesNotResurrectWithdrawal: a digest summary works
+// from a view snapshot taken before it locks the endpoint, so it can see
+// a local record the distributor has withdrawn and buried in between.
+// Neither the summary nor a repair push may mint that record an epoch
+// above its grave: the peer would admit the announce as a
+// re-registration.
+func TestStaleSnapshotDoesNotResurrectWithdrawal(t *testing.T) {
+	_, hosts := fedNet(t, 1)
+	view := core.NewServiceView()
+	e := endpoint(t, hosts[0], view, fastCfg("gw-a"))
+
+	const url = "soap://10.0.1.2:4004"
+	key := viewKey(core.SDPUPnP, url)
+	state := func() (epoch, buried bool) {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		_, epoch = e.epochs[key]
+		_, buried = e.tombs[key]
+		return epoch, buried
+	}
+	view.Put(localRec("clock", url, time.Hour))
+	waitFor(t, 5*time.Second, "the distributor minting the epoch", func() bool {
+		epoch, _ := state()
+		return epoch
+	})
+	snapshot := view.Find("", time.Now())
+	view.Remove(core.SDPUPnP, url)
+	waitFor(t, 5*time.Second, "the distributor burying the withdrawal", func() bool {
+		epoch, buried := state()
+		return buried && !epoch
+	})
+
+	if agg := e.summarize(snapshot, time.Now())["gw-a"]; agg != nil && agg.sum.LiveCount != 0 {
+		t.Errorf("summary counts the withdrawn record: %+v", agg.sum)
+	}
+	if a, ok := e.announceFor(snapshot[0]); ok {
+		t.Errorf("repair push announces the withdrawn record at epoch %d", a.Epoch)
+	}
+	if epoch, _ := state(); epoch {
+		t.Error("the withdrawn record was minted an epoch above its grave")
+	}
+}
+
 // TestReregistrationOutlivesTombstone: a genuine re-registration (fresh
 // lifetime) must cross the federation even though the key was recently
 // withdrawn — the grave only blocks stale echoes.

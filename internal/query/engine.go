@@ -10,21 +10,28 @@ import (
 )
 
 // Engine answers find-by-kind queries from the service view with a
-// per-(kind,predicate) answer cache memoized on the view's mutation
-// generation — the bumpSummaries pattern the federation's digest plane
-// uses, applied to whole prerendered HTTP responses.
+// per-(kind,predicate) answer cache memoized on the view's per-kind
+// mutation generation — the bumpSummaries pattern the federation's
+// digest plane uses, applied to whole prerendered HTTP responses.
 //
-// A cached answer is valid while BOTH hold:
+// A cached answer is valid while ALL hold:
 //
-//  1. the view's generation still equals the one read before the scan
-//     that built it (any Put/Remove/expiry sweep bumps it), and
-//  2. now is before the earliest Expires among the answer's records —
+//  1. the kind's generation (ServiceView.KindGeneration) still equals
+//     the one read before the scan that built it: every Put, Remove or
+//     expiry sweep that touches the kind bumps it, churn on other kinds
+//     does not (short of a counter-stripe collision);
+//  2. if the answer merged records from the cold tier, the tier's spill
+//     generation (ServiceView.ColdGeneration) is unchanged too — the
+//     tier applies a withdrawal or re-kind of a spilled record after
+//     the view has bumped, so rule 1 alone would keep serving it;
+//  3. now is before the earliest Expires among the answer's records —
 //     lazy expiry means a record can lapse before any sweep notices,
-//     and rule 1 alone would keep serving it.
+//     and rules 1–2 alone would keep serving it.
 //
-// Eviction to the cold tier bumps nothing: spilling moves a record's
-// residence, not the answer set, so cached wire images stay valid and
-// post-miss rebuilds merge the spilled slice back in via ScanCold.
+// Eviction to the cold tier bumps no view counter: spilling moves a
+// record's residence, not the answer set, so cached wire images stay
+// valid and post-miss rebuilds merge the spilled slice back in via
+// ScanCold.
 type Engine struct {
 	view *core.ServiceView
 	gwID string
@@ -44,15 +51,17 @@ type qkey struct {
 // answer is one immutable cache entry. Rebuilds install a fresh entry;
 // nothing mutates a published one, so readers copy wire under RLock.
 type answer struct {
-	gen       uint64 // view generation read BEFORE the scan that built this
+	gen       uint64 // kind generation read BEFORE the scan that built this
+	coldGen   uint64 // cold-tier spill generation, read with gen
+	cold      bool   // merged cold-tier records: coldGen must hold too
 	minExpiry int64  // unixnano of the earliest record expiry; MaxInt64 when none
 	wire      []byte // complete HTTP/1.1 response, headers included
 	pred      *slp.Predicate
 }
 
 // maxCacheEntries bounds the answer cache. Past it, inserting first
-// drops generation-stale entries; a workload with more *live* distinct
-// queries than this simply stops caching the overflow.
+// drops entries that no longer hold; a workload with more *live*
+// distinct queries than this simply stops caching the overflow.
 const maxCacheEntries = 1024
 
 // NewEngine builds a query engine over the view. gwID names this
@@ -75,15 +84,15 @@ func (e *Engine) attach(c *counters) { e.ctrs = c }
 // predicate returns the error; the caller owes the client a 400.
 //
 // This is the query plane's hot path: a cache hit is one struct-keyed
-// map lookup and one append — zero allocations when dst has capacity.
+// map lookup, one per-kind generation load and one append — zero
+// allocations when dst has capacity.
 func (e *Engine) AppendAnswer(dst []byte, kind, pred string, now time.Time) ([]byte, bool, error) {
 	k := qkey{kind: kind, pred: pred}
-	gen := e.view.Generation()
 
 	e.mu.RLock()
 	a := e.cache[k]
 	e.mu.RUnlock()
-	if a != nil && a.gen == gen && now.UnixNano() < a.minExpiry {
+	if a != nil && e.holds(k, a, now) {
 		e.ctrs.cacheHits.Add(1)
 		return append(dst, a.wire...), true, nil
 	}
@@ -105,10 +114,12 @@ func (e *Engine) build(k qkey, prev *answer, now time.Time) (*answer, error) {
 		return nil, err
 	}
 
-	// Generation BEFORE the scan: a mutation racing the scan lands a
+	// Generations BEFORE the scan: a mutation racing the scan lands a
 	// generation the entry does not match, forcing the next query to
 	// rebuild. The stale entry can never serve a post-mutation read.
-	gen := e.view.Generation()
+	kindGen := e.view.KindGeneration(k.kind)
+	coldGen := e.view.ColdGeneration()
+	viewGen := e.view.Generation()
 
 	var keep func(*core.ServiceRecord) bool
 	if compiled != nil {
@@ -126,6 +137,7 @@ func (e *Engine) build(k qkey, prev *answer, now time.Time) (*answer, error) {
 	// to every answer. The resident scan cannot have seen them (spill
 	// removes the memory copy), but a concurrent Put may have brought
 	// one back — dedup by identity, resident copy wins (it is newer).
+	resident := len(recs)
 	e.view.ScanCold(k.kind, now, func(r core.ServiceRecord) bool {
 		if compiled != nil && !compiled.EvalMap(r.Attrs) {
 			e.ctrs.predRejected.Add(1)
@@ -141,10 +153,19 @@ func (e *Engine) build(k qkey, prev *answer, now time.Time) (*answer, error) {
 		return true
 	})
 
-	a := renderAnswer(e.gwID, k, gen, recs)
+	a := renderAnswer(e.gwID, k, viewGen, recs)
+	a.gen, a.coldGen, a.cold = kindGen, coldGen, len(recs) > resident
 	a.pred = compiled // donate the compilation to the next rebuild
-	e.install(k, a)
+	e.install(k, a, now)
 	return a, nil
+}
+
+// holds reports whether a cached answer is still exact at now: the
+// three validity rules on Engine.
+func (e *Engine) holds(k qkey, a *answer, now time.Time) bool {
+	return a.gen == e.view.KindGeneration(k.kind) &&
+		(!a.cold || a.coldGen == e.view.ColdGeneration()) &&
+		now.UnixNano() < a.minExpiry
 }
 
 // compile parses the predicate, reusing prev's compilation when the
@@ -161,16 +182,15 @@ func (e *Engine) compile(pred string, prev *answer) (*slp.Predicate, error) {
 	return slp.ParsePredicate(pred)
 }
 
-// install publishes the answer, evicting generation-stale entries when
-// the cache is full (and refusing growth past the cap if every entry is
-// current — the overflow query simply stays uncached).
-func (e *Engine) install(k qkey, a *answer) {
+// install publishes the answer, evicting entries that no longer hold
+// when the cache is full (and refusing growth past the cap if every
+// entry is current — the overflow query simply stays uncached).
+func (e *Engine) install(k qkey, a *answer, now time.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, exists := e.cache[k]; !exists && len(e.cache) >= maxCacheEntries {
-		gen := e.view.Generation()
 		for key, old := range e.cache {
-			if old.gen != gen {
+			if !e.holds(key, old, now) {
 				delete(e.cache, key)
 			}
 		}
@@ -189,7 +209,8 @@ func (e *Engine) CacheLen() int {
 }
 
 // renderAnswer builds the immutable cache entry: JSON body first (into
-// a scratch buffer), then the exact-size wire image with headers.
+// a scratch buffer), then the exact-size wire image with headers. gen
+// is the whole-view generation the body reports.
 func renderAnswer(gwID string, k qkey, gen uint64, recs []core.ServiceRecord) *answer {
 	minExpiry := int64(math.MaxInt64)
 	body := make([]byte, 0, 128+192*len(recs))
@@ -218,7 +239,6 @@ func renderAnswer(gwID string, k qkey, gen uint64, recs []core.ServiceRecord) *a
 	body = append(body, ']', '}')
 
 	return &answer{
-		gen:       gen,
 		minExpiry: minExpiry,
 		wire:      renderResponse(200, "OK", contentTypeJSON, body, false),
 	}

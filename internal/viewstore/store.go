@@ -171,6 +171,7 @@ type Store struct {
 	readers  map[uint32]*os.File
 	index    map[string]recLoc
 	spilled  map[string]struct{}
+	spillGen atomic.Uint64 // changes to spilled, each made under mu
 	graves   map[string]Grave
 	epochs   map[string]uint64
 	neg      map[string]int64  // key -> suppress-until unix ms
@@ -445,9 +446,17 @@ func (st *Store) Put(rec *Record) error {
 	st.index[key] = recLoc{seg: seg, off: off, size: size,
 		expires: rec.Expires, originGW: rec.OriginGW,
 		kind: st.internKindLocked(rec.Kind)}
-	delete(st.spilled, key)
+	st.unspillLocked(key)
 	delete(st.neg, key)
 	return nil
+}
+
+// unspillLocked clears key's spilled mark, counting the change.
+func (st *Store) unspillLocked(key string) {
+	if _, ok := st.spilled[key]; ok {
+		delete(st.spilled, key)
+		st.spillGen.Add(1)
+	}
 }
 
 // Erase appends an erase entry (expiry or withdrawal) and drops the
@@ -469,7 +478,7 @@ func (st *Store) Erase(origin, url string) error {
 		st.addGarbage(old.seg, old.size)
 		delete(st.index, key)
 	}
-	delete(st.spilled, key)
+	st.unspillLocked(key)
 	return nil
 }
 
@@ -542,6 +551,7 @@ func (st *Store) Spill(recs []Record) (int, error) {
 			expires: rec.Expires, originGW: rec.OriginGW,
 			kind: st.internKindLocked(rec.Kind)}
 		st.spilled[key] = struct{}{}
+		st.spillGen.Add(1)
 		delete(st.neg, key)
 		n++
 	}
@@ -647,6 +657,25 @@ func (st *Store) SpilledCount() int {
 	return len(st.spilled)
 }
 
+// SpillGeneration counts changes to the spilled set: every Spill, and
+// every Put, Erase or Maintain that clears a spilled mark. A reader that
+// loads it before ScanSpilledKind and finds it unchanged later knows the
+// scan still holds, up to the records' own expiry.
+func (st *Store) SpillGeneration() uint64 { return st.spillGen.Load() }
+
+// SpilledKind reports the lowercased kind of origin|url when it is
+// spilled.
+func (st *Store) SpilledKind(origin, url string) (string, bool) {
+	key := Key(origin, url)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if _, ok := st.spilled[key]; !ok {
+		return "", false
+	}
+	loc, ok := st.index[key]
+	return loc.kind, ok
+}
+
 // Spilled enumerates the unexpired disk-only records — the digest
 // builder folds them into per-origin summaries without reading disk.
 func (st *Store) Spilled(now time.Time) []SpillInfo {
@@ -735,7 +764,7 @@ func (st *Store) Maintain(now time.Time) error {
 				st.addGarbage(loc.seg, loc.size)
 				delete(st.index, key)
 			}
-			delete(st.spilled, key)
+			st.unspillLocked(key)
 		}
 	}
 	return st.compactOneLocked(nowMs)

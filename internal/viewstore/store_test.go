@@ -210,6 +210,46 @@ func TestSpillLookupAndNegativeCache(t *testing.T) {
 	}
 }
 
+// TestSpillGenerationTracksSpilledSet: the spill generation moves on
+// every change to the spilled set and on nothing else, and SpilledKind
+// names a spilled record's lowercased kind.
+func TestSpillGenerationTracksSpilledSet(t *testing.T) {
+	st := openStore(t, t.TempDir(), Options{})
+	rec := testRec("soap://10.0.1.2:4004", time.Hour)
+	rec.Kind = "Clock"
+	short := testRec("soap://10.0.1.3:4004", time.Millisecond)
+	for _, step := range []struct {
+		name  string
+		do    func() error
+		moves bool
+	}{
+		{"Put of a resident record", func() error { return st.Put(&rec) }, false},
+		{"Spill", func() error { _, err := st.Spill([]Record{rec}); return err }, true},
+		{"Put of a spilled record", func() error { return st.Put(&rec) }, true},
+		{"Erase of a resident record", func() error { return st.Erase(rec.Origin, rec.URL) }, false},
+		{"Spill again", func() error { _, err := st.Spill([]Record{rec, short}); return err }, true},
+		{"Erase of a spilled record", func() error { return st.Erase(rec.Origin, rec.URL) }, true},
+		{"Maintain dropping an expired spill", func() error { return st.Maintain(time.Now().Add(time.Second)) }, true},
+		{"Maintain with nothing spilled", func() error { return st.Maintain(time.Now().Add(time.Second)) }, false},
+	} {
+		gen := st.SpillGeneration()
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if moved := st.SpillGeneration() != gen; moved != step.moves {
+			t.Errorf("%s: spill generation moved = %v, want %v", step.name, moved, step.moves)
+		}
+		if step.name == "Spill" {
+			if kind, ok := st.SpilledKind(rec.Origin, rec.URL); !ok || kind != "clock" {
+				t.Errorf("SpilledKind after Spill = %q, %v; want \"clock\", true", kind, ok)
+			}
+		}
+	}
+	if _, ok := st.SpilledKind(rec.Origin, rec.URL); ok {
+		t.Error("SpilledKind reports an erased record")
+	}
+}
+
 // TestRotationAndCompaction: heavy overwrite traffic across tiny
 // segments must compact — fewer files, same answers.
 func TestRotationAndCompaction(t *testing.T) {

@@ -79,10 +79,12 @@ func TestViewFindHotAllocBudget(t *testing.T) {
 
 // TestQueryCachedAnswerAllocBudget: serving a cached find-by-kind HTTP
 // answer — the query plane's steady state under read-heavy traffic —
-// costs at most 4 allocations. The path is one struct-keyed map lookup
-// and one append of the prerendered wire image into the caller's
-// buffer, so in practice it allocates zero; the budget leaves headroom
-// without letting a per-request map or encoder sneak back in.
+// costs at most 4 allocations. The path is one struct-keyed map lookup,
+// one per-kind generation check and one append of the prerendered wire
+// image into the caller's buffer, so in practice it allocates zero; the
+// budget leaves headroom without letting a per-request map or encoder
+// sneak back in. A mixed-case kind takes the same path: the generation
+// check folds ASCII case without allocating.
 func TestQueryCachedAnswerAllocBudget(t *testing.T) {
 	view := core.NewServiceView()
 	now := time.Now()
@@ -97,20 +99,22 @@ func TestQueryCachedAnswerAllocBudget(t *testing.T) {
 	}
 	e := query.NewEngine(view, "gw-perf")
 	buf := make([]byte, 0, 64<<10)
-	var err error
-	// Warm the cache, then measure pure hits.
-	if buf, _, err = e.AppendAnswer(buf[:0], "printer", "(color=yes)", now); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		var hit bool
-		buf, hit, err = e.AppendAnswer(buf[:0], "printer", "(color=yes)", now)
-		if err != nil || !hit {
-			t.Fatalf("cache miss during measurement: hit=%v err=%v", hit, err)
+	for _, kind := range []string{"printer", "Printer"} {
+		var err error
+		// Warm the cache, then measure pure hits.
+		if buf, _, err = e.AppendAnswer(buf[:0], kind, "(color=yes)", now); err != nil {
+			t.Fatal(err)
 		}
-	})
-	if allocs > 4 {
-		t.Errorf("cached query answer allocates %.1f times, budget is 4", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			var hit bool
+			buf, hit, err = e.AppendAnswer(buf[:0], kind, "(color=yes)", now)
+			if err != nil || !hit {
+				t.Fatalf("%s: cache miss during measurement: hit=%v err=%v", kind, hit, err)
+			}
+		})
+		if allocs > 4 {
+			t.Errorf("%s: cached query answer allocates %.1f times, budget is 4", kind, allocs)
+		}
 	}
 }
 
