@@ -15,6 +15,7 @@ import (
 	"indiss/internal/core"
 	"indiss/internal/dnssd"
 	"indiss/internal/events"
+	"indiss/internal/experiments"
 	"indiss/internal/federation"
 	"indiss/internal/fsm"
 	"indiss/internal/httpx"
@@ -50,185 +51,52 @@ func BenchmarkTable2SizeReport(b *testing.B) {
 	b.ReportMetric(libs.KB, "native-stacks-kb")
 }
 
-// --- Figure 7: native baselines ---
+// --- Figures 7–9: the paper's scenarios ---
+//
+// Each benchmark times one native lookup per iteration on the testbed
+// internal/experiments builds for cmd/experiments, so ns/op and the
+// experiments' median measure the same path.
+
+// benchScenario sets up s and runs its lookup b.N times.
+func benchScenario(b *testing.B, s experiments.Scenario) {
+	lookup, teardown, err := s.Setup()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer teardown()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := lookup(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkFig7NativeSLP: native SLP search (paper: 0.7ms).
-func BenchmarkFig7NativeSLP(b *testing.B) {
-	net := indiss.NewLAN()
-	defer net.Close()
-	clientHost := net.MustAddHost("client", "10.0.0.1")
-	serviceHost := net.MustAddHost("service", "10.0.0.2")
-	sa, err := slp.NewServiceAgent(serviceHost, indiss.OpenSLPProfile())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sa.Close()
-	if err := sa.Register("service:clock", "service:clock://10.0.0.2:4005", time.Hour, nil); err != nil {
-		b.Fatal(err)
-	}
-	ua := slp.NewUserAgent(clientHost, indiss.OpenSLPProfile())
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ua.FindFirst("service:clock", "", 2*time.Second); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig7NativeSLP(b *testing.B) { benchScenario(b, experiments.NativeSLP) }
 
 // BenchmarkFig7NativeUPnP: native UPnP search answer (paper: 40ms).
-func BenchmarkFig7NativeUPnP(b *testing.B) {
-	net := indiss.NewLAN()
-	defer net.Close()
-	clientHost := net.MustAddHost("client", "10.0.0.1")
-	serviceHost := net.MustAddHost("service", "10.0.0.2")
-	ssdpCfg, httpDelay := indiss.CyberLinkDeviceProfile()
-	dev, err := upnp.NewRootDevice(serviceHost, indiss.PaddedClockDevice(httpDelay, ssdpCfg))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer dev.Close()
-	cp := ssdp.NewClient(clientHost, indiss.CyberLinkCPProfile().SSDP)
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cp.SearchFirst(upnp.TypeURN("clock", 1), 0, 2*time.Second); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Figures 8 and 9: bridged discovery in both placements ---
-
-// bridgedSLPBench builds the SLP-client/UPnP-service scenario with INDISS
-// on the given host and benchmarks the SLP search.
-func bridgedSLPBench(b *testing.B, role indiss.Role, indissOnClient bool) {
-	b.Helper()
-	net := indiss.NewLAN()
-	defer net.Close()
-	clientHost := net.MustAddHost("client", "10.0.0.1")
-	serviceHost := net.MustAddHost("service", "10.0.0.2")
-
-	ssdpCfg, httpDelay := indiss.CyberLinkDeviceProfile()
-	dev, err := upnp.NewRootDevice(serviceHost, indiss.PaddedClockDevice(httpDelay, ssdpCfg))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer dev.Close()
-
-	host := serviceHost
-	if indissOnClient {
-		host = clientHost
-	}
-	sys, err := indiss.Deploy(host, indiss.Config{
-		Role:    role,
-		SDPs:    []indiss.SDP{indiss.SLP, indiss.UPnP},
-		Profile: indiss.CalibratedProfile(),
-		NoCache: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-
-	ua := slp.NewUserAgent(clientHost, indiss.OpenSLPProfile())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ua.FindFirst("service:clock", "", 3*time.Second); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig7NativeUPnP(b *testing.B) { benchScenario(b, experiments.NativeUPnP) }
 
 // BenchmarkFig8ServiceSideSLPToUPnP (paper: 65ms).
 func BenchmarkFig8ServiceSideSLPToUPnP(b *testing.B) {
-	bridgedSLPBench(b, indiss.RoleServiceSide, false)
+	benchScenario(b, experiments.ServiceSideSLPToUPnP)
 }
 
 // BenchmarkFig9aClientSideSLPToUPnP (paper: 80ms).
 func BenchmarkFig9aClientSideSLPToUPnP(b *testing.B) {
-	bridgedSLPBench(b, indiss.RoleClientSide, true)
+	benchScenario(b, experiments.ClientSideSLPToUPnP)
 }
 
 // BenchmarkFig8ServiceSideUPnPToSLP (paper: 40ms).
 func BenchmarkFig8ServiceSideUPnPToSLP(b *testing.B) {
-	net := indiss.NewLAN()
-	defer net.Close()
-	clientHost := net.MustAddHost("client", "10.0.0.1")
-	serviceHost := net.MustAddHost("service", "10.0.0.2")
-
-	sa, err := slp.NewServiceAgent(serviceHost, indiss.OpenSLPProfile())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sa.Close()
-	if err := sa.Register("service:clock", "service:clock://10.0.0.2:4005", time.Hour, nil); err != nil {
-		b.Fatal(err)
-	}
-	sys, err := indiss.Deploy(serviceHost, indiss.Config{
-		Role:    indiss.RoleServiceSide,
-		SDPs:    []indiss.SDP{indiss.SLP, indiss.UPnP},
-		Profile: indiss.CalibratedProfile(),
-		NoCache: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-
-	cp := ssdp.NewClient(clientHost, indiss.CyberLinkCPProfile().SSDP)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cp.SearchFirst(upnp.TypeURN("clock", 1), 0, 3*time.Second); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchScenario(b, experiments.ServiceSideUPnPToSLP)
 }
 
 // BenchmarkFig9bClientSideUPnPToSLP (paper: 0.12ms, the best case):
 // wire-level turnaround with the view warmed by passive SLP adverts.
 func BenchmarkFig9bClientSideUPnPToSLP(b *testing.B) {
-	net := indiss.NewLAN()
-	defer net.Close()
-	clientHost := net.MustAddHost("client", "10.0.0.1")
-	serviceHost := net.MustAddHost("service", "10.0.0.2")
-
-	sa, err := slp.NewServiceAgent(serviceHost, slp.AgentConfig{
-		ProcessingDelay:  indiss.OpenSLPProfile().ProcessingDelay,
-		AnnounceInterval: 20 * time.Millisecond,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sa.Close()
-	if err := sa.Register("service:clock", "service:clock://10.0.0.2:4005", time.Hour, nil); err != nil {
-		b.Fatal(err)
-	}
-	sys, err := indiss.Deploy(clientHost, indiss.Config{
-		Role:    indiss.RoleClientSide,
-		SDPs:    []indiss.SDP{indiss.SLP, indiss.UPnP},
-		Profile: indiss.CalibratedProfile(),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-
-	deadline := time.Now().Add(3 * time.Second)
-	for len(sys.View().Find("clock", time.Now())) == 0 {
-		if time.Now().After(deadline) {
-			b.Fatal("view never warmed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	cp := ssdp.NewClient(clientHost, ssdp.ClientConfig{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cp.SearchFirst(upnp.TypeURN("clock", 1), 0, 2*time.Second); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchScenario(b, experiments.ClientSideUPnPToSLP)
 }
 
 // --- DNS-SD: the post-paper fourth unit's workload ---

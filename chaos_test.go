@@ -3,6 +3,7 @@ package indiss_test
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"indiss/internal/chaos"
 	"indiss/internal/core"
 	"indiss/internal/dnssd"
+	"indiss/internal/experiments"
 	"indiss/internal/federation"
 	"indiss/internal/netapi"
 	"indiss/internal/simnet"
@@ -626,8 +628,8 @@ func BenchmarkChurnConvergence(b *testing.B) {
 	}
 	b.StopTimer()
 	if len(durations) > 0 {
-		sortDurations(durations)
-		b.ReportMetric(float64(durations[len(durations)/2].Microseconds())/1000, "ms-median/conv")
+		slices.Sort(durations)
+		b.ReportMetric(float64(experiments.Quantile(durations, 0.5).Microseconds())/1000, "ms-median/conv")
 	}
 }
 
@@ -829,14 +831,6 @@ func TestChaosFleet64OverlaySoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkpoint("final", scale*30*time.Second)
-}
-
-func sortDurations(d []time.Duration) {
-	for i := 1; i < len(d); i++ {
-		for j := i; j > 0 && d[j] < d[j-1]; j-- {
-			d[j], d[j-1] = d[j-1], d[j]
-		}
-	}
 }
 
 // --- mobility ---

@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"indiss/internal/experiments"
 )
@@ -19,34 +20,23 @@ func main() {
 	fig := flag.String("fig", "all", "which figure to run: 7, 8, 9 or all")
 	flag.Parse()
 
-	var results []experiments.Result
-	switch *fig {
-	case "7":
-		results = []experiments.Result{
-			experiments.NativeSLP(*runs),
-			experiments.NativeUPnP(*runs),
-			experiments.NativeUPnPFullDiscovery(*runs),
+	// A scenario ID is "Fig " plus the figure number and an optional
+	// panel letter or "+" (the supplementary row).
+	var selected []experiments.Scenario
+	for _, s := range experiments.Scenarios {
+		if *fig == "all" || strings.TrimRight(strings.TrimPrefix(s.ID, "Fig "), "ab+") == *fig {
+			selected = append(selected, s)
 		}
-	case "8":
-		results = []experiments.Result{
-			experiments.ServiceSideSLPToUPnP(*runs),
-			experiments.ServiceSideUPnPToSLP(*runs),
-		}
-	case "9":
-		results = []experiments.Result{
-			experiments.ClientSideSLPToUPnP(*runs),
-			experiments.ClientSideUPnPToSLP(*runs),
-		}
-	case "all":
-		results = experiments.All(*runs)
-	default:
+	}
+	if len(selected) == 0 {
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
 		os.Exit(2)
 	}
 
 	fmt.Println("INDISS §4.3 response-time experiments (median of N successful runs)")
 	fmt.Println()
-	for _, r := range results {
+	for _, s := range selected {
+		r := s.Run(*runs)
 		fmt.Println(r)
 		if r.Note != "" {
 			fmt.Printf("         %s\n", r.Note)

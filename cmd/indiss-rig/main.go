@@ -41,10 +41,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
+	"indiss/internal/experiments"
 	"indiss/internal/realnet"
 )
 
@@ -127,19 +128,6 @@ func splitList(s string) []string {
 	return out
 }
 
-// median returns the p-quantile (0..1) of ds by nearest-rank; 0 when
-// empty.
-func quantile(ds []time.Duration, p float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(ds))
-	copy(sorted, ds)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := int(p*float64(len(sorted)-1) + 0.5)
-	return sorted[i]
-}
-
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // summary is the JSON shape of one measured distribution, in
@@ -152,12 +140,16 @@ type summary struct {
 	Max     float64 `json:"max_ms"`
 }
 
+// summarize reduces ds by nearest rank; every field is 0 when ds is
+// empty.
 func summarize(ds []time.Duration) summary {
+	sorted := slices.Clone(ds)
+	slices.Sort(sorted)
 	return summary{
 		Samples: len(ds),
-		Median:  ms(quantile(ds, 0.5)),
-		P95:     ms(quantile(ds, 0.95)),
-		Min:     ms(quantile(ds, 0)),
-		Max:     ms(quantile(ds, 1)),
+		Median:  ms(experiments.Quantile(sorted, 0.5)),
+		P95:     ms(experiments.Quantile(sorted, 0.95)),
+		Min:     ms(experiments.Quantile(sorted, 0)),
+		Max:     ms(experiments.Quantile(sorted, 1)),
 	}
 }

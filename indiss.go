@@ -246,17 +246,15 @@ func Deploy(stack Stack, cfg Config) (*System, error) {
 		return nil, fmt.Errorf("indiss: ViewMemBudget requires DataDir (spilled records need somewhere to live)")
 	}
 	coreCfg := core.Config{
-		Role:           cfg.Role,
-		Units:          cfg.SDPs,
-		Dynamic:        cfg.Dynamic,
-		ThresholdBps:   cfg.ThresholdBps,
-		Profile:        cfg.Profile,
-		NoCache:        cfg.NoCache,
-		DataDir:        cfg.DataDir,
-		ViewMemBudget:  cfg.ViewMemBudget,
-		GatewayID:      cfg.GatewayID,
-		Peers:          cfg.Peers,
-		FederationPort: cfg.FederationPort,
+		Role:          cfg.Role,
+		Units:         cfg.SDPs,
+		Dynamic:       cfg.Dynamic,
+		ThresholdBps:  cfg.ThresholdBps,
+		Profile:       cfg.Profile,
+		NoCache:       cfg.NoCache,
+		DataDir:       cfg.DataDir,
+		ViewMemBudget: cfg.ViewMemBudget,
+		GatewayID:     cfg.GatewayID,
 	}
 	if len(cfg.Peers) > 0 || cfg.FederationPort != 0 {
 		peers := make([]Addr, 0, len(cfg.Peers))
@@ -287,7 +285,6 @@ func Deploy(stack Stack, cfg Config) (*System, error) {
 		}
 	}
 	if cfg.QueryPort != 0 {
-		coreCfg.QueryPort = cfg.QueryPort
 		coreCfg.Query = func(s *core.System) (io.Closer, error) {
 			return query.New(stack, s.View(), query.Config{
 				ListenPort: cfg.QueryPort,

@@ -16,9 +16,9 @@ import (
 // what a reboot believes, and anything the log missed is re-learned
 // from native traffic or peers.
 
-// defaultMaintainInterval paces store maintenance (flush, grave
+// maintainInterval paces store maintenance (flush, grave
 // pruning, compaction) and view budget enforcement.
-const defaultMaintainInterval = time.Second
+const maintainInterval = time.Second
 
 // toStoreRecord converts a view record to its log form (unix-ms
 // expiry).
@@ -161,11 +161,7 @@ func (s *System) pumpStore(batches <-chan []Delta) {
 // maintainStore periodically compacts the log and enforces the view's
 // memory budget.
 func (s *System) maintainStore() {
-	iv := s.cfg.MaintainInterval
-	if iv <= 0 {
-		iv = defaultMaintainInterval
-	}
-	ticker := time.NewTicker(iv)
+	ticker := time.NewTicker(maintainInterval)
 	defer ticker.Stop()
 	for {
 		select {

@@ -53,28 +53,15 @@ type Config struct {
 	// DataDir store and served from disk on point lookups. Zero means
 	// unbounded. Only meaningful with DataDir set.
 	ViewMemBudget int64
-	// MaintainInterval paces store compaction and budget enforcement
-	// (default 1s). Only meaningful with DataDir set.
-	MaintainInterval time.Duration
 
 	// GatewayID names this instance in a gateway federation. Empty
 	// defaults to the host name. Only meaningful with federation
 	// enabled.
 	GatewayID string
-	// Peers lists the "ip:port" federation endpoints of peer gateways
-	// this instance dials and keeps synced with.
-	Peers []string
-	// FederationPort is the TCP port the federation endpoint listens
-	// on. Zero uses the federation package's default.
-	FederationPort int
 	// Federation builds the peering endpoint once the system is up. Nil
 	// disables federation.
 	Federation PlaneHook
 
-	// QueryPort is the TCP port the HTTP/JSON query plane listens on.
-	// Zero uses the query package's default; only meaningful with Query
-	// set.
-	QueryPort int
 	// Query builds the HTTP/JSON read plane once the system is up. Nil
 	// disables the query plane.
 	Query PlaneHook
@@ -228,9 +215,6 @@ func (s *System) GatewayID() string {
 	}
 	return s.stack.Name()
 }
-
-// Peers returns the configured federation peer endpoints.
-func (s *System) Peers() []string { return s.cfg.Peers }
 
 // Federation returns the running peering endpoint, or nil when
 // federation is disabled. Callers needing more than io.Closer — the

@@ -29,6 +29,42 @@ func TestMedian(t *testing.T) {
 	}
 }
 
+// TestQuantile pins the nearest-rank indices, the same ones the
+// benchmark's percentile picks: rank ⌈p·n⌉, and the lower middle
+// sample for the median of an even count.
+func TestQuantile(t *testing.T) {
+	seq := func(n int) []time.Duration {
+		s := make([]time.Duration, n)
+		for i := range s {
+			s[i] = time.Duration(i)
+		}
+		return s
+	}
+	for _, c := range []struct {
+		n    int
+		p    float64
+		want time.Duration // the index picked
+	}{
+		{5, 0, 0},
+		{5, 0.5, 2},
+		{5, 1, 4},
+		{4, 0.5, 1},
+		{30, 0.5, 14},
+		{20, 0.95, 18},
+		{100, 0.95, 94},
+		{7, 0.95, 6},
+		{1, 0.5, 0},
+		{1, 0.95, 0},
+	} {
+		if got := Quantile(seq(c.n), c.p); got != c.want {
+			t.Errorf("Quantile(n=%d, p=%v) picked index %d, want %d", c.n, c.p, got, c.want)
+		}
+	}
+	if got := Quantile(nil, 0.5); got != 0 {
+		t.Errorf("Quantile(empty) = %v, want 0", got)
+	}
+}
+
 func TestResultString(t *testing.T) {
 	r := Result{ID: "Fig 7", Name: "SLP -> SLP", Paper: 700 * time.Microsecond, Measured: 790 * time.Microsecond, Runs: 30}
 	s := r.String()

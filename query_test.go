@@ -179,10 +179,11 @@ func TestQueryPlaneServesSpilledRecords(t *testing.T) {
 }
 
 // TestQueryPlaneUnderChurn is the query plane's race-on soak:
-// predicate-filtered queries and long-poll watchers run concurrently
-// with view churn, sub-second TTL expiry and continuous EnforceBudget
-// spilling. The assertions are liveness and sanity — the value of the
-// test is every interleaving the race detector sees.
+// predicate-filtered queries, long-poll watchers and native in-process
+// lookups (Find, FindForeign, Get) run concurrently with view churn,
+// sub-second TTL expiry and continuous EnforceBudget spilling. The
+// assertions are liveness and sanity — the value of the test is every
+// interleaving the race detector sees.
 func TestQueryPlaneUnderChurn(t *testing.T) {
 	net := indiss.NewLAN()
 	defer net.Close()
@@ -204,7 +205,7 @@ func TestQueryPlaneUnderChurn(t *testing.T) {
 	stop := make(chan struct{})
 	time.AfterFunc(runFor, func() { close(stop) })
 	var wg sync.WaitGroup
-	var queries, watches atomic.Uint64
+	var queries, watches, natives atomic.Uint64
 
 	// Churner: put records with mixed TTLs (some lapse mid-run), remove
 	// a slice explicitly, keep every spill candidate remote.
@@ -274,6 +275,26 @@ func TestQueryPlaneUnderChurn(t *testing.T) {
 		}(client, c)
 	}
 
+	// Native reader: the in-process lookups a co-located client makes,
+	// on the churned kind and URLs, so Get also reaches spilled records.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			now := time.Now()
+			sys.View().Find("churnkind", now)
+			sys.View().FindForeign(indiss.SLP, "churnkind", now)
+			sys.View().Get(indiss.UPnP, fmt.Sprintf("soap://10.0.2.%d:4004/svc%d", i%50, i%200))
+			natives.Add(1)
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+
 	// Watcher: cursor through the delta feed, tolerating resyncs.
 	wg.Add(1)
 	watcher := net.MustAddHost("watcher", "10.0.0.40")
@@ -308,13 +329,14 @@ func TestQueryPlaneUnderChurn(t *testing.T) {
 	wg.Wait()
 
 	// The plane survived; one more query must still be served, and the
-	// soak must have actually exercised both read paths.
+	// soak must have actually exercised every read path.
 	probe := net.MustAddHost("probe", "10.0.0.50")
 	code, _, err := queryGet(probe, qaddr, "/v1/services?kind=churnkind", 5*time.Second)
 	if err != nil || code != 200 {
 		t.Fatalf("post-churn query: code=%d err=%v", code, err)
 	}
-	if queries.Load() == 0 || watches.Load() == 0 {
-		t.Fatalf("soak idle: queries=%d watches=%d", queries.Load(), watches.Load())
+	if queries.Load() == 0 || watches.Load() == 0 || natives.Load() == 0 {
+		t.Fatalf("soak idle: queries=%d watches=%d native lookup rounds=%d",
+			queries.Load(), watches.Load(), natives.Load())
 	}
 }
