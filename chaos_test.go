@@ -644,15 +644,14 @@ type fleetSvc struct {
 	expires time.Time
 }
 
-// TestChaosFleet64OverlaySoak is the fleet-scale acceptance gate: 64
-// gateways across a 4-segment campus, seeded with nothing but a
-// successor chain, must self-organize an overlay (fanout 4, far below
-// the fleet size), converge a record from every gateway into every
-// view, and hold the full invariant set through churn and a mid-soak
-// partition/heal that splits the fleet 32/32. It runs even in -short:
-// the digest plane keeps it to seconds of wall clock, so CI's quick
-// lane still exercises the scale path.
-func TestChaosFleet64OverlaySoak(t *testing.T) {
+// TestChaosFleet64Soak is the fleet-scale acceptance gate: 64 gateways
+// across a 4-segment campus, peered statically as a ring with chords
+// (gateway i dials i+1 and i+8), must converge a record from every
+// gateway into every view and hold the full invariant set through
+// churn and a mid-soak partition/heal that splits the fleet 32/32. It
+// runs even in -short: the digest plane keeps it to seconds of wall
+// clock, so CI's quick lane still exercises the scale path.
+func TestChaosFleet64Soak(t *testing.T) {
 	if raceEnabled && !testing.Short() {
 		t.Skip("under the race detector the fleet soak runs in CI's dedicated -short lane; " +
 			"the full -race pass already carries the churn soaks, and doubling up " +
@@ -663,9 +662,9 @@ func TestChaosFleet64OverlaySoak(t *testing.T) {
 		fleet  = 64
 		segs   = 4
 		perSeg = fleet / segs
-		// The overlay must beat this diameter on its own: the seed
-		// chain alone is 63 hops, so convergence everywhere proves the
-		// gossiped shortcuts formed.
+		// The ring with chords spans the fleet in 7 hops, and either
+		// 32-gateway island in 7 while partitioned; the ring alone
+		// would need 32.
 		maxHops = 12
 	)
 	topo := indiss.NewTopology(simnet.Config{
@@ -718,24 +717,21 @@ func TestChaosFleet64OverlaySoak(t *testing.T) {
 	}
 
 	// The race detector multiplies the cost of every synchronization
-	// op, and 64 gateways' timers (anti-entropy rounds, flush windows,
-	// read-deadline polls) add up to thousands of wakeups per second.
+	// op, and 64 gateways' timers (anti-entropy rounds, read-deadline
+	// polls) add up to thousands of wakeups per second.
 	// On an instrumented runner the fleet still converges — just not at
 	// the raceless rhythm — so the -short race lane slows the cadence
 	// and stretches the checkpoint deadlines. The invariants asserted
 	// are identical in both lanes.
 	antiEntropy := 250 * time.Millisecond
 	readTimeout := 50 * time.Millisecond
-	flush := 5 * time.Millisecond
 	scale := time.Duration(1)
 	if raceEnabled {
 		antiEntropy = time.Second
 		readTimeout = 500 * time.Millisecond
-		flush = 20 * time.Millisecond
 		scale = 6
 	}
 
-	eps := make([]*federation.Endpoint, fleet)
 	gateways := make([]chaos.Gateway, fleet)
 	for i := range hosts {
 		cfg := federation.Config{
@@ -743,19 +739,17 @@ func TestChaosFleet64OverlaySoak(t *testing.T) {
 			AntiEntropyInterval: antiEntropy,
 			DialRetryInterval:   50 * time.Millisecond,
 			ReadTimeout:         readTimeout,
-			FlushInterval:       flush,
 			MaxHops:             maxHops,
-			MaxActivePeers:      4,
-		}
-		if i+1 < fleet {
-			cfg.Peers = []simnet.Addr{{IP: hosts[i+1].IP(), Port: federation.DefaultPort}}
+			Peers: []simnet.Addr{
+				{IP: hosts[(i+1)%fleet].IP(), Port: federation.DefaultPort},
+				{IP: hosts[(i+8)%fleet].IP(), Port: federation.DefaultPort},
+			},
 		}
 		ep, err := federation.New(hosts[i], views[i], cfg)
 		if err != nil {
 			t.Fatalf("fgw-%d: %v", i, err)
 		}
 		t.Cleanup(func() { ep.Close() })
-		eps[i] = ep
 		gateways[i] = chaos.Gateway{ID: cfg.GatewayID, View: views[i]}
 	}
 	checker := chaos.NewChecker(chaos.CheckerConfig{MaxHops: maxHops}, gateways...)
@@ -785,22 +779,7 @@ func TestChaosFleet64OverlaySoak(t *testing.T) {
 		t.Logf("checkpoint %q converged in %v", name, time.Since(start))
 	}
 
-	checkpoint("overlay-formed", scale*60*time.Second)
-
-	// Overlay evidence: more links than the 63-edge seed chain could
-	// ever provide, and a peer table that learned well past the
-	// hand-wired successor.
-	sessions := 0
-	for i, ep := range eps {
-		st := ep.Stats()
-		sessions += st.Sessions
-		if st.KnownPeers < perSeg/2 {
-			t.Errorf("fgw-%d knows %d peers; gossip is not spreading membership", i, st.KnownPeers)
-		}
-	}
-	if edges := sessions / 2; edges <= fleet-1 {
-		t.Fatalf("fleet holds %d links — no more than the seed chain; overlay never formed", edges)
-	}
+	checkpoint("converged", scale*60*time.Second)
 
 	// Steady-state churn: a handful of withdrawals and fresh services.
 	for i := 0; i < 6; i++ {
@@ -817,8 +796,8 @@ func TestChaosFleet64OverlaySoak(t *testing.T) {
 	plant(5)         // left island
 	plant(fleet - 5) // right island
 	// Long enough that the crossing sessions die and each island
-	// re-stabilizes internally — heal then has to re-merge two
-	// self-satisfied overlays, which only the seed backbone guarantees.
+	// re-stabilizes internally — heal then has to redial every link
+	// across the cut and repair both islands by digest.
 	time.Sleep(scale * 3 * time.Second)
 	if err := n.Heal(indiss.CampusSegment(2), indiss.CampusSegment(3)); err != nil {
 		t.Fatal(err)

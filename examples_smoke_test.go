@@ -54,7 +54,8 @@ func TestExamplesSmoke(t *testing.T) {
 }
 
 // TestGatewayCommandSmoke drives cmd/indiss-gw in both shapes: the
-// classic single LAN and the federated three-segment campus.
+// classic single LAN and the federated three-segment campus, the latter
+// also with persistence, the query plane and periodic stats on.
 func TestGatewayCommandSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("command smoke runs via go run; skipped in -short")
@@ -62,17 +63,29 @@ func TestGatewayCommandSmoke(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
-		want string
+		want []string
 	}{
 		{
 			name: "single-lan",
 			args: []string{"run", "./cmd/indiss-gw", "-duration", "2s"},
-			want: "found service:clock:soap://10.0.0.2:4004",
+			want: []string{"found service:clock:soap://10.0.0.2:4004"},
 		},
 		{
 			name: "campus",
 			args: []string{"run", "./cmd/indiss-gw", "-segments", "3", "-duration", "3s"},
-			want: "found service:clock:soap://10.0.3.2:4004",
+			want: []string{"found service:clock:soap://10.0.3.2:4004"},
+		},
+		{
+			name: "campus-persistent-query-stats",
+			args: []string{"run", "./cmd/indiss-gw", "-segments", "3", "-duration", "3s",
+				"-data-dir", t.TempDir(), "-query-port", "-1", "-stats-interval", "200ms"},
+			want: []string{
+				"[gw1] cold start: no prior view state under",
+				"query plane listening on",
+				"--- stats @",
+				"[gw1] federation: sessions=",
+				"found service:clock:soap://10.0.3.2:4004",
+			},
 		},
 	}
 	for _, tc := range cases {
@@ -85,8 +98,10 @@ func TestGatewayCommandSmoke(t *testing.T) {
 			if err != nil {
 				t.Fatalf("go %v: %v\n%s", tc.args, err, out)
 			}
-			if !strings.Contains(string(out), tc.want) {
-				t.Errorf("go %v output lacks %q:\n%s", tc.args, tc.want, out)
+			for _, want := range tc.want {
+				if !strings.Contains(string(out), want) {
+					t.Errorf("go %v output lacks %q:\n%s", tc.args, want, out)
+				}
 			}
 		})
 	}

@@ -192,16 +192,6 @@ type Config struct {
 	// on proven divergence — the interval now prices repair latency,
 	// not a full view re-send.
 	FederationSyncInterval time.Duration
-	// FederationFlushInterval is the delta-batching window: view
-	// changes within one window coalesce into a single BATCH frame per
-	// peer. Zero flushes immediately (batching still emerges under
-	// backlog).
-	FederationFlushInterval time.Duration
-	// FederationFanout, when positive, lets the gateway self-organize
-	// its peering: it learns peers-of-peers from gossip and keeps
-	// dialing the best-scored ones until it holds this many sessions.
-	// Zero peers exactly as configured.
-	FederationFanout int
 	// FederationStack, when non-nil, carries the peering plane on its
 	// own network stack instead of the deployment stack — the
 	// multihomed-gateway shape of the containerized rig (DESIGN.md
@@ -275,8 +265,6 @@ func Deploy(stack Stack, cfg Config) (*System, error) {
 				ListenPort:          cfg.FederationPort,
 				Peers:               peers,
 				AntiEntropyInterval: cfg.FederationSyncInterval,
-				FlushInterval:       cfg.FederationFlushInterval,
-				MaxActivePeers:      cfg.FederationFanout,
 			}
 			if st := s.ViewStore(); st != nil {
 				fcfg.Persistence = st

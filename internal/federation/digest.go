@@ -206,11 +206,10 @@ func (e *Endpoint) summarize(recs []core.ServiceRecord, now time.Time) map[strin
 	return out
 }
 
-// enqueueDigest sends one anti-entropy digest to a session, with a
-// peer-gossip sample piggybacked.
+// enqueueDigest sends one anti-entropy digest to a session.
 func (e *Endpoint) enqueueDigest(s *session) {
 	sums := e.buildSummaries()
-	d := Digest{Peers: e.peerSample(s.peerID, gossipSampleSize)}
+	var d Digest
 	if len(sums) > 0 {
 		d.Origins = make([]OriginSummary, 0, len(sums))
 		for _, agg := range sums {
@@ -229,7 +228,6 @@ func (e *Endpoint) enqueueDigest(s *session) {
 // and we lack. Runs on the session's read goroutine, which owns the
 // memo maps.
 func (e *Endpoint) handleDigest(s *session, d Digest) {
-	e.learnPeers(d.Peers)
 	ours := e.buildSummaries()
 	theirs := make(map[string]OriginSummary, len(d.Origins))
 	for _, o := range d.Origins {

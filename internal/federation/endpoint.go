@@ -21,11 +21,10 @@ type Config struct {
 	// ListenPort is the TCP port to accept peers on (default
 	// DefaultPort).
 	ListenPort int
-	// Peers are the seed endpoints this gateway dials and keeps dialing;
-	// a lost connection is re-established automatically (with capped
-	// backoff when the peer bounces or refuses). With MaxActivePeers
-	// set, seeds stop being redialed while the overlay keeps the
-	// session count at target.
+	// Peers are the endpoints this gateway dials and keeps dialing; a
+	// lost connection is re-established automatically (with capped
+	// backoff while the peer refuses or hangs up). The gateway peers
+	// with these and with whoever dials it, and learns no others.
 	Peers []netapi.Addr
 	// AntiEntropyInterval spaces the periodic re-sync rounds (default
 	// 1s), jittered ±20% per round so a fleet doesn't sync in
@@ -41,27 +40,6 @@ type Config struct {
 	// ReadTimeout bounds each blocking read so sessions notice shutdown
 	// (default 100ms). Tests lower it; production leaves the default.
 	ReadTimeout time.Duration
-	// FlushInterval is the delta-batching window: view deltas arriving
-	// within one window coalesce (last update per record wins) into a
-	// single BATCH frame per peer. Default 0: flush immediately —
-	// batching still emerges under backlog because the distributor
-	// greedily drains everything already queued.
-	FlushInterval time.Duration
-	// SendQueue bounds each peer session's outgoing frame queue
-	// (default 256 frames). A full queue sheds the frame instead of
-	// blocking the distributor; the next digest round repairs the
-	// peer.
-	SendQueue int
-	// MaxActivePeers, when positive, turns on overlay self-organization:
-	// the endpoint learns peers-of-peers from HELLO and DIGEST gossip
-	// and dials the best-scored ones until it holds this many sessions.
-	// Zero keeps peering exactly as configured (the default).
-	MaxActivePeers int
-	// MaxSessions, when positive, caps concurrent sessions. An inbound
-	// peer over the cap completes the handshake — its HELLO reply
-	// carries a peer sample, so the joiner can redial sideways — and is
-	// then closed. Zero means unlimited.
-	MaxSessions int
 	// Persistence, when non-nil, durably mirrors the endpoint's epoch
 	// and grave state and seeds it back on construction — the warm
 	// boot that lets a restarted gateway resume digest anti-entropy
@@ -98,14 +76,11 @@ func (c Config) readTimeout() time.Duration {
 	return c.ReadTimeout
 }
 
-func (c Config) sendQueue() int {
-	if c.SendQueue <= 0 {
-		return 256
-	}
-	return c.SendQueue
-}
-
-func (c Config) maxActivePeers() int { return c.MaxActivePeers }
+// sendQueue bounds each peer session's outgoing frame queue. 256
+// frames hold about 3k batched records, a burst a healthy writer drains
+// well inside enqueueWait. A full queue sheds the frame instead of
+// blocking the distributor; the next digest round repairs the peer.
+const sendQueue = 256
 
 // refreshSlack is how much an announced expiry must extend the stored
 // one to count as new knowledge. Anything smaller is an anti-entropy
@@ -156,9 +131,9 @@ type tombstone struct {
 }
 
 // Endpoint is one gateway's attachment to the federation: a TCP listener
-// for inbound peers, dial loops for seeds, overlay maintenance for
-// learned peers, and a distributor that turns local ServiceView deltas
-// into batched ANNOUNCE/WITHDRAW floods.
+// for inbound peers, a dial loop per configured peer, and a distributor
+// that turns local ServiceView deltas into batched announce/withdraw
+// floods.
 type Endpoint struct {
 	host netapi.Stack
 	view *core.ServiceView
@@ -177,15 +152,6 @@ type Endpoint struct {
 	sumCache    map[string]*originAgg
 	sumCacheGen uint64
 	sumCacheOK  bool
-
-	overlayMu  sync.Mutex
-	knownPeers map[string]*knownPeer
-	// seedAddrs marks the configured backbone: shuffle never retires a
-	// session to one of these addresses.
-	seedAddrs map[string]bool
-	// shuffleTick counts full-view maintenance passes; owned by the
-	// anti-entropy goroutine.
-	shuffleTick int
 
 	mu          sync.Mutex
 	sessions    map[*session]struct{}
@@ -229,8 +195,6 @@ func New(host netapi.Stack, view *core.ServiceView, cfg Config) (*Endpoint, erro
 		view:        view,
 		cfg:         cfg,
 		listener:    l,
-		knownPeers:  make(map[string]*knownPeer),
-		seedAddrs:   make(map[string]bool, len(cfg.Peers)),
 		sessions:    make(map[*session]struct{}),
 		learnedFrom: make(map[string]*session),
 		tombs:       make(map[string]tombstone),
@@ -249,7 +213,6 @@ func New(host netapi.Stack, view *core.ServiceView, cfg Config) (*Endpoint, erro
 	go func() { defer e.wg.Done(); e.antiEntropyLoop() }()
 	for _, peer := range cfg.Peers {
 		peer := peer
-		e.seedAddrs[peer.String()] = true
 		e.wg.Add(1)
 		go func() { defer e.wg.Done(); e.dialLoop(peer) }()
 	}
@@ -296,12 +259,6 @@ func (e *Endpoint) PeerIDs() []string {
 		out = append(out, s.peerID)
 	}
 	return out
-}
-
-func (e *Endpoint) sessionCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.sessions)
 }
 
 func (e *Endpoint) stopped() bool {
@@ -483,52 +440,24 @@ func (e *Endpoint) acceptLoop() {
 			return // listener closed
 		}
 		e.wg.Add(1)
-		go func() { defer e.wg.Done(); e.runSession(stream, "") }()
+		go func() { defer e.wg.Done(); e.runSession(stream) }()
 	}
 }
 
-// dialLoop keeps one seed peer dialed for the endpoint's lifetime.
-// Consecutive failures — refused dials, or sessions that die within a
-// second (a bounced handshake at a full peer) — back the retry off
-// exponentially, capped at 8× the base interval. When the overlay is
-// active and already at target, the seed is left alone until the
-// session count sags.
+// dialLoop keeps one configured peer dialed for the endpoint's
+// lifetime. Consecutive failures — refused dials, or sessions that die
+// within a second (a refused handshake) — back the retry off
+// exponentially, capped at 8× the base interval.
 func (e *Endpoint) dialLoop(peer netapi.Addr) {
 	fails := 0
 	for {
 		if e.stopped() {
 			return
 		}
-		if e.cfg.maxActivePeers() > 0 && e.sessionCount() >= e.cfg.maxActivePeers() {
-			if e.seedConnected(peer.String()) {
-				// Overlay at target and the configured link is up:
-				// nothing to keep alive.
-				select {
-				case <-e.stop:
-					return
-				case <-time.After(e.cfg.antiEntropy()):
-				}
-				continue
-			}
-			// At target but the configured link is down. A healed
-			// partition can leave two internally-satisfied overlay
-			// islands that never re-merge on their own — only the seed
-			// backbone provably re-spans the cut — so keep probing the
-			// seed, at anti-entropy cadence rather than the
-			// connect-storm retry rate.
-			select {
-			case <-e.stop:
-				return
-			case <-time.After(jitterInterval(e.cfg.antiEntropy())):
-			}
-			if e.stopped() {
-				return
-			}
-		}
 		start := time.Now()
 		stream, err := e.host.DialTCP(peer)
 		if err == nil {
-			e.runSession(stream, peer.String())
+			e.runSession(stream)
 			if time.Since(start) >= time.Second {
 				fails = 0
 			} else {
@@ -549,26 +478,19 @@ func (e *Endpoint) dialLoop(peer netapi.Addr) {
 // runSession performs the HELLO handshake (refusing peers older than
 // Version), registers the session, syncs on connect with a digest, and
 // then consumes frames until the connection or the endpoint dies.
-// dialedAddr is the peer's listener address when we initiated; for
-// accepted sessions the peer's HELLO carries its own.
-func (e *Endpoint) runSession(stream netapi.Stream, dialedAddr string) {
+func (e *Endpoint) runSession(stream netapi.Stream) {
 	stream.SetReadTimeout(e.cfg.readTimeout())
 	s := &session{
 		ep:       e,
 		stream:   stream,
-		outbox:   make(chan []byte, e.cfg.sendQueue()),
+		outbox:   make(chan []byte, sendQueue),
 		pushMemo: make(map[string]pushMemo),
 		reqMemo:  make(map[string]reqMemo),
 		done:     make(chan struct{}),
 	}
 	defer s.close()
 
-	hb := AppendHello(nil, Hello{
-		Version:    Version,
-		GatewayID:  e.cfg.GatewayID,
-		ListenAddr: e.Addr().String(),
-		Peers:      e.peerSample("", gossipSampleSize),
-	})
+	hb := AppendHello(nil, Hello{Version: Version, GatewayID: e.cfg.GatewayID})
 	if _, err := stream.Write(hb); err != nil {
 		return
 	}
@@ -584,23 +506,8 @@ func (e *Endpoint) runSession(stream netapi.Stream, dialedAddr string) {
 	}
 	s.peerID = h.GatewayID
 
-	// Overlay learning: the peer itself (at its dialed or self-reported
-	// listener address) and its gossiped sample.
-	addr := dialedAddr
-	if addr == "" {
-		addr = h.ListenAddr
-	}
-	e.learnPeer(h.GatewayID, addr)
-	e.learnPeers(h.Peers)
-
 	e.mu.Lock()
 	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	if cap := e.cfg.MaxSessions; cap > 0 && len(e.sessions) >= cap {
-		// Over the session cap: our HELLO already delivered a peer
-		// sample, so the bounced joiner can redial sideways.
 		e.mu.Unlock()
 		return
 	}
@@ -632,22 +539,10 @@ func (e *Endpoint) runSession(stream netapi.Stream, dialedAddr string) {
 		}
 		buf = p
 		switch t {
-		case FrameAnnounce:
-			a, err := ParseAnnounce(p)
-			if err != nil {
-				return // poisoned stream: drop the session, redial
-			}
-			e.handleAnnounce(s, a)
-		case FrameWithdraw:
-			w, err := ParseWithdraw(p)
-			if err != nil {
-				return
-			}
-			e.handleWithdraw(s, w)
 		case FrameBatch:
 			entries, err := ParseBatch(p)
 			if err != nil {
-				return
+				return // poisoned stream: drop the session, redial
 			}
 			e.stats.batchEntriesRecv.Add(uint64(len(entries)))
 			for i := range entries {
@@ -876,9 +771,6 @@ func (e *Endpoint) handleAnnounce(s *session, a Announce) {
 	e.view.Put(rec)
 	e.mu.Unlock()
 	e.bumpSummaries()
-	// The session delivered knowledge we accepted: its peer scores as
-	// useful for overlay retention.
-	e.peerUseful(s.peerID)
 }
 
 // handleWithdraw retracts a remote record. Local records are immune: the
@@ -965,12 +857,12 @@ func (e *Endpoint) buryLocked(key string, t tombstone) {
 	e.persistGrave(t)
 }
 
-// withdrawBack answers one session's stale ANNOUNCE with a directed
-// WITHDRAW — the active repair for peers that missed a withdrawal while
-// partitioned or down. The repaired peer removes the record and floods
-// the withdrawal onward to anyone else still holding the ghost. ttl
-// bounds the receiver's grave (the ghost's own remaining lifetime);
-// epoch names the buried instance.
+// withdrawBack answers one session's stale announce with a directed
+// withdrawal, sent as a BATCH of one — the active repair for peers that
+// missed a withdrawal while partitioned or down. The repaired peer
+// removes the record and floods the withdrawal onward to anyone else
+// still holding the ghost. ttl bounds the receiver's grave (the ghost's
+// own remaining lifetime); epoch names the buried instance.
 func (e *Endpoint) withdrawBack(s *session, a Announce, ttl time.Duration, epoch uint64) {
 	w := Withdraw{
 		OriginGW: a.OriginGW,
@@ -981,7 +873,7 @@ func (e *Endpoint) withdrawBack(s *session, a Announce, ttl time.Duration, epoch
 		TTL:      ttlMillis(ttl),
 		Epoch:    epoch,
 	}
-	s.enqueue(FrameWithdraw, AppendWithdraw(nil, w))
+	e.enqueueEntries(s, []BatchEntry{{Withdraw: &w}})
 }
 
 // ttlMillis clamps a duration into the wire's millisecond TTL field.
@@ -1004,9 +896,9 @@ type pendingDelta struct {
 }
 
 // distribute turns view delta batches into batched floods. Each flush
-// window drains everything queued (and, with FlushInterval set, waits
-// out the window collecting more), coalesces per record, then emits
-// BATCH frames to every peer.
+// window drains everything already queued, coalesces per record, then
+// emits BATCH frames to every peer: batching emerges under backlog
+// without a timer delaying a lone delta.
 func (e *Endpoint) distribute(batches <-chan []core.Delta) {
 	for {
 		first, ok := <-batches
@@ -1017,35 +909,17 @@ func (e *Endpoint) distribute(batches <-chan []core.Delta) {
 		pending := make(map[string]*pendingDelta, len(first))
 		order = e.collectDeltas(order, pending, first)
 		closed := false
-		if fi := e.cfg.FlushInterval; fi > 0 {
-			timer := time.NewTimer(fi)
-		window:
-			for {
-				select {
-				case more, ok := <-batches:
-					if !ok {
-						closed = true
-						break window
-					}
-					order = e.collectDeltas(order, pending, more)
-				case <-timer.C:
-					break window
-				}
-			}
-			timer.Stop()
-		} else {
-		backlog:
-			for {
-				select {
-				case more, ok := <-batches:
-					if !ok {
-						closed = true
-						break backlog
-					}
-					order = e.collectDeltas(order, pending, more)
-				default:
+	backlog:
+		for {
+			select {
+			case more, ok := <-batches:
+				if !ok {
+					closed = true
 					break backlog
 				}
+				order = e.collectDeltas(order, pending, more)
+			default:
+				break backlog
 			}
 		}
 		e.flushDeltas(order, pending)
@@ -1181,44 +1055,39 @@ func (e *Endpoint) flushDeltas(order []string, pending map[string]*pendingDelta)
 	}
 }
 
-// enqueueEntries sends a run of deltas to one session as BATCH frames,
-// chunked under the payload cap. It reports whether everything was
+// enqueueEntries sends a run of deltas to one session as BATCH frames
+// of up to maxFlushBatch entries. It reports whether everything was
 // enqueued.
 func (e *Endpoint) enqueueEntries(s *session, entries []BatchEntry) bool {
 	ok := true
 	for len(entries) > 0 {
 		n := min(len(entries), maxFlushBatch)
-		chunk := entries[:n]
+		ok = e.enqueueBatch(s, entries[:n]) && ok
 		entries = entries[n:]
-		frame := AppendBatch(nil, chunk)
-		if len(frame)-frameHeaderLen > MaxFramePayload {
-			// Pathologically large records: fall back to singles so one
-			// giant doesn't poison the whole chunk.
-			for i := range chunk {
-				en := &chunk[i]
-				var single []byte
-				var t FrameType
-				if en.Announce != nil {
-					single, t = AppendAnnounce(nil, *en.Announce), FrameAnnounce
-				} else {
-					single, t = AppendWithdraw(nil, *en.Withdraw), FrameWithdraw
-				}
-				if len(single)-frameHeaderLen > MaxFramePayload {
-					e.stats.queueDrops.Add(1)
-					ok = false
-					continue
-				}
-				if !s.enqueue(t, single) {
-					ok = false
-				}
-			}
-			continue
+	}
+	return ok
+}
+
+// enqueueBatch sends one chunk of deltas as a BATCH frame. A chunk over
+// the payload cap goes as BATCHes of one entry, so one pathologically
+// large record doesn't poison its neighbours; an entry over the cap on
+// its own is dropped and counted.
+func (e *Endpoint) enqueueBatch(s *session, chunk []BatchEntry) bool {
+	frame := AppendBatch(nil, chunk)
+	if len(frame)-frameHeaderLen <= MaxFramePayload {
+		if !s.enqueue(FrameBatch, frame) {
+			return false
 		}
-		if s.enqueue(FrameBatch, frame) {
-			e.stats.batchEntriesSent.Add(uint64(n))
-		} else {
-			ok = false
-		}
+		e.stats.batchEntriesSent.Add(uint64(len(chunk)))
+		return true
+	}
+	if len(chunk) == 1 {
+		e.stats.queueDrops.Add(1)
+		return false
+	}
+	ok := true
+	for i := range chunk {
+		ok = e.enqueueBatch(s, chunk[i:i+1]) && ok
 	}
 	return ok
 }
@@ -1237,7 +1106,7 @@ func jitterInterval(base time.Duration) time.Duration {
 // antiEntropyLoop periodically repairs divergence with a digest to
 // every peer (records cross the wire only when a digest proves them
 // missing or stale). Each round also prunes dead split-horizon and
-// grave state and tops up the overlay.
+// grave state.
 func (e *Endpoint) antiEntropyLoop() {
 	for {
 		timer := time.NewTimer(jitterInterval(e.cfg.antiEntropy()))
@@ -1258,7 +1127,6 @@ func (e *Endpoint) antiEntropyLoop() {
 		}
 		e.pruneLearned()
 		e.pruneTombs()
-		e.maintainOverlay()
 	}
 }
 

@@ -1,7 +1,10 @@
 package federation
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,8 +14,8 @@ import (
 )
 
 // This file covers the fleet-scale machinery: anti-entropy jitter,
-// digest-only quiescence, refusal of older-version peers, and overlay
-// self-organization from a single seed.
+// digest-only quiescence, refusal of older-version peers, and records
+// too large to share a frame.
 
 // TestJitterIntervalSpreadsRounds: jittered intervals stay inside the
 // ±20% band and actually vary — a fleet whose gateways all fire
@@ -67,9 +70,6 @@ func TestQuiescentAntiEntropyDigestOnly(t *testing.T) {
 	if d := after.BatchEntriesSent - before.BatchEntriesSent; d != 0 {
 		t.Fatalf("%d record entries re-sent at quiescence; digests should carry the rounds", d)
 	}
-	if d := after.AnnounceSent - before.AnnounceSent; d != 0 {
-		t.Fatalf("%d standalone announces sent at quiescence", d)
-	}
 	if d := after.DigestDiffSent - before.DigestDiffSent; d != 0 {
 		t.Fatalf("%d diff requests at quiescence; matching digests must not trigger pulls", d)
 	}
@@ -84,27 +84,33 @@ func TestQuiescentAntiEntropyDigestOnly(t *testing.T) {
 	_ = eb
 }
 
-// v2Hello renders a HELLO in the version-2 shape: the version byte and
-// gateway id, with no listen address or peer sample after them.
-func v2Hello(id string) []byte {
+// v3Hello renders a HELLO in the version-3 shape: the version byte and
+// gateway id, then the listen address and an (empty) peer sample.
+func v3Hello(id, listenAddr string) []byte {
 	dst, at := appendHeader(nil, FrameHello)
-	dst = append(dst, 2)
+	dst = append(dst, 3)
 	dst = appendString(dst, id)
+	dst = appendString(dst, listenAddr)
+	dst = binary.AppendUvarint(dst, 0)
 	return finishFrame(dst, at)
 }
 
-// TestOlderVersionHelloRefused: a peer whose HELLO carries Version 2 —
-// in the old two-field shape or in the current one — gets no session.
-// The endpoint answers with its own HELLO and hangs up; the peer is
-// never registered or learned, the ANNOUNCE it sends after its HELLO is
-// never absorbed, and none of the endpoint's records reach it.
+// TestOlderVersionHelloRefused: a peer whose HELLO carries a version
+// below 4 gets no session, whatever the HELLO's shape: version 2's
+// (version and gateway id, the same fields v4 sends), version 3's
+// (with a listen address and a peer sample after them), or version 3
+// in the current shape. The endpoint answers with its own HELLO and
+// hangs up; the peer is never registered, the BATCH it sends after its
+// HELLO is never read or absorbed, and none of the endpoint's records
+// reach it.
 func TestOlderVersionHelloRefused(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		hello []byte
 	}{
-		{"v2-shape", v2Hello("gw-old")},
-		{"v3-shape", AppendHello(nil, Hello{Version: 2, GatewayID: "gw-old", ListenAddr: "10.0.2.9:7741"})},
+		{"v2-shape", AppendHello(nil, Hello{Version: 2, GatewayID: "gw-old"})},
+		{"v3-shape", v3Hello("gw-old", "10.0.2.9:7741")},
+		{"v3-in-v4-shape", AppendHello(nil, Hello{Version: 3, GatewayID: "gw-old"})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, hosts := fedNet(t, 2)
@@ -118,10 +124,10 @@ func TestOlderVersionHelloRefused(t *testing.T) {
 			}
 			defer st.Close()
 			out := append([]byte(nil), tc.hello...)
-			out = AppendAnnounce(out, Announce{
+			out = AppendBatch(out, []BatchEntry{{Announce: &Announce{
 				OriginGW: "gw-old", Origin: string(core.SDPUPnP), Kind: "printer",
 				URL: "soap://10.0.2.2:4004", TTL: 3_600_000, Epoch: 1,
-			})
+			}}})
 			if _, err := st.Write(out); err != nil {
 				t.Fatal(err)
 			}
@@ -139,10 +145,10 @@ func TestOlderVersionHelloRefused(t *testing.T) {
 			}
 
 			stats := ea.Stats()
-			if stats.Sessions != 0 || stats.KnownPeers != 0 {
-				t.Fatalf("older peer registered: sessions=%d known=%d", stats.Sessions, stats.KnownPeers)
+			if stats.Sessions != 0 {
+				t.Fatalf("older peer registered: sessions=%d", stats.Sessions)
 			}
-			if stats.DigestSent != 0 || stats.BatchSent != 0 || stats.AnnounceSent != 0 || stats.AnnounceRecv != 0 {
+			if stats.DigestSent != 0 || stats.BatchSent != 0 || stats.BatchRecv != 0 || stats.BatchEntriesRecv != 0 {
 				t.Fatalf("records crossed a refused handshake: %+v", stats)
 			}
 			if _, ok := viewA.Get(core.SDPUPnP, "soap://10.0.2.2:4004"); ok {
@@ -152,62 +158,54 @@ func TestOlderVersionHelloRefused(t *testing.T) {
 	}
 }
 
-// TestOverlaySelfOrganizes: gateways configured with nothing but one
-// seed address and an active-view target must discover each other
-// through HELLO/digest gossip and converge, even though the seed caps
-// its own sessions far below the fleet size.
-func TestOverlaySelfOrganizes(t *testing.T) {
-	const fleet = 8
-	topo := simnet.NewTopology(simnet.Config{})
-	topo.Segment("A")
-	n, err := topo.Build()
-	if err != nil {
-		t.Fatal(err)
+// bigRec is a local record whose n attributes each carry a key and a
+// value at the maxWireString cap, about 8 KB of wire per attribute.
+func bigRec(name string, n int) core.ServiceRecord {
+	attrs := make(map[string]string, n)
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("%04d", i)
+		attrs[key+strings.Repeat("k", maxWireString-len(key))] = strings.Repeat("v", maxWireString)
 	}
-	t.Cleanup(n.Close)
+	return core.ServiceRecord{
+		Origin:  core.SDPUPnP,
+		Kind:    name,
+		URL:     "soap://10.0.1.2:4004/" + name,
+		Attrs:   attrs,
+		Expires: time.Now().Add(time.Hour),
+	}
+}
 
-	hosts := make([]*simnet.Host, fleet)
-	views := make([]*core.ServiceView, fleet)
-	eps := make([]*Endpoint, fleet)
-	for i := range hosts {
-		hosts[i] = n.MustAddHostOn("gw"+itoa(i), "10.0.1."+itoa(10+i), "A")
-		views[i] = core.NewServiceView()
+// TestOversizedRecordsTravelAlone: records too large to share a frame
+// still cross the federation, each in a frame of its own, while a
+// record too large for any frame is dropped and counted instead of
+// poisoning the frames of its neighbours.
+func TestOversizedRecordsTravelAlone(t *testing.T) {
+	_, hosts := fedNet(t, 2)
+	viewA, viewB := core.NewServiceView(), core.NewServiceView()
+	// Two records of ~640 KB fit a frame alone, not together; the
+	// ~1.6 MB giant fits no frame.
+	fitting := []core.ServiceRecord{bigRec("large-a", 80), bigRec("large-b", 80)}
+	giant := bigRec("giant", 200)
+	for _, rec := range append(fitting, giant) {
+		viewA.Put(rec)
 	}
-	for i := range hosts {
-		cfg := fastCfg("gw-" + itoa(i))
-		cfg.MaxActivePeers = 3
-		if i == 0 {
-			// The seed refuses most of the fleet; bounced joiners must
-			// still learn the overlay from its hello's peer sample.
-			cfg.MaxSessions = 3
-		} else {
-			cfg.Peers = []simnet.Addr{{IP: hosts[0].IP(), Port: DefaultPort}}
-		}
-		views[i].Put(localRec("svc"+itoa(i), "soap://10.0.1."+itoa(10+i)+":4004", time.Hour))
-		eps[i] = endpoint(t, hosts[i], views[i], cfg)
-	}
+	ea := endpoint(t, hosts[0], viewA, fastCfg("gw-a"))
+	endpoint(t, hosts[1], viewB, fastCfg("gw-b", simnet.Addr{IP: hosts[0].IP(), Port: DefaultPort}))
 
-	for i := range views {
-		v := views[i]
-		waitFor(t, 20*time.Second, "overlay convergence at gw-"+itoa(i), func() bool {
-			return len(v.Find("", time.Now())) == fleet
-		})
-	}
-	// Self-organization evidence: non-seed gateways hold sessions with
-	// peers they were never configured with, and the peer table learns
-	// most of the fleet via gossip. Gossip is still spreading when the
-	// views converge; the table never prunes, so poll until it has grown.
-	grew := 0
-	for i := 1; i < fleet; i++ {
-		if eps[i].Stats().Sessions >= 2 {
-			grew++
+	// gw-b keeps lacking the giant, so every digest or diff request it
+	// sends makes gw-a push its records again and drop the giant again:
+	// wait for the fitting records and a second counted drop, checking
+	// each poll that the giant never crossed.
+	waitFor(t, 10*time.Second, "both fitting records at gw-b and two dropped pushes of the giant", func() bool {
+		if _, ok := viewB.Get(giant.Origin, giant.URL); ok {
+			t.Fatal("gw-b absorbed a record larger than any frame")
 		}
-		ep := eps[i]
-		waitFor(t, 20*time.Second, "gw-"+itoa(i)+" to learn half the fleet", func() bool {
-			return ep.Stats().KnownPeers >= fleet/2
-		})
-	}
-	if grew == 0 {
-		t.Fatal("no gateway grew beyond its seed session; overlay never self-organized")
-	}
+		for _, rec := range fitting {
+			got, ok := viewB.Get(rec.Origin, rec.URL)
+			if !ok || len(got.Attrs) != len(rec.Attrs) {
+				return false
+			}
+		}
+		return ea.Stats().QueueDrops >= 2
+	})
 }

@@ -5,18 +5,16 @@ import (
 	"testing"
 )
 
-// FuzzParseFrame feeds raw bytes through the frame header and every
-// payload parser: none may panic, and anything that parses must
-// re-marshal into a payload that parses back to the same value.
+// FuzzParseFrame feeds raw bytes through the frame header and the
+// HELLO parser: neither may panic, the header never admits a retired
+// frame type, and a HELLO that parses must re-marshal into a payload
+// that parses back to the same value.
 func FuzzParseFrame(f *testing.F) {
-	f.Add(AppendHello(nil, Hello{Version: Version, GatewayID: "gw", ListenAddr: "10.0.0.9:7741"}))
-	f.Add(AppendAnnounce(nil, Announce{
-		OriginGW: "gw", Hops: 2, Origin: "SLP", Kind: "clock",
-		URL: "service:clock://10.0.0.2", TTL: 1000,
-		Attrs: map[string]string{"a": "b"},
-	}))
-	f.Add(AppendWithdraw(nil, Withdraw{OriginGW: "gw", Origin: "SLP", Kind: "k", URL: "u"}))
+	f.Add(AppendHello(nil, Hello{Version: Version, GatewayID: "gw"}))
+	f.Add(AppendHello(nil, Hello{Version: Version + 1, GatewayID: "gw"}))
+	// v3 ANNOUNCE and WITHDRAW headers, types 2 and 3: retired in v4.
 	f.Add([]byte{'I', 'F', 2, 0, 0, 0, 4, 1, 2, 3, 4})
+	f.Add([]byte{'I', 'F', 3, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ft, n, err := ParseFrameHeader(data)
@@ -28,37 +26,16 @@ func FuzzParseFrame(f *testing.F) {
 		}
 		payload := data[frameHeaderLen : frameHeaderLen+n]
 		switch ft {
+		case 2, 3:
+			t.Fatalf("header admitted retired frame type %d", ft)
 		case FrameHello:
 			h, err := ParseHello(payload)
 			if err != nil {
 				return
 			}
 			again, err := ParseHello(AppendHello(nil, h)[frameHeaderLen:])
-			if err != nil || again.Version != h.Version || again.GatewayID != h.GatewayID ||
-				again.ListenAddr != h.ListenAddr || len(again.Peers) != len(h.Peers) {
+			if err != nil || again != h {
 				t.Fatalf("hello remarshal mismatch: %+v vs %+v (%v)", h, again, err)
-			}
-		case FrameAnnounce:
-			a, err := ParseAnnounce(payload)
-			if err != nil {
-				return
-			}
-			re := AppendAnnounce(nil, a)
-			again, err := ParseAnnounce(re[frameHeaderLen:])
-			if err != nil {
-				t.Fatalf("announce remarshal failed: %+v: %v", a, err)
-			}
-			if again.URL != a.URL || again.OriginGW != a.OriginGW || len(again.Attrs) != len(a.Attrs) {
-				t.Fatalf("announce remarshal mismatch: %+v vs %+v", a, again)
-			}
-		case FrameWithdraw:
-			w, err := ParseWithdraw(payload)
-			if err != nil {
-				return
-			}
-			again, err := ParseWithdraw(AppendWithdraw(nil, w)[frameHeaderLen:])
-			if err != nil || again != w {
-				t.Fatalf("withdraw remarshal mismatch: %+v vs %+v (%v)", w, again, err)
 			}
 		}
 		// Reading from a stream must agree with the direct parse.
@@ -80,7 +57,6 @@ func FuzzParseBatchDigest(f *testing.F) {
 	f.Add(AppendDigest(nil, Digest{
 		Origins: []OriginSummary{{OriginGW: "gw", LiveCount: 3, LiveHash: 0xdead,
 			MaxEpoch: 42, GraveCount: 1, GraveHash: 0xbeef}},
-		Peers: []PeerInfo{{ID: "gw2", Addr: "10.0.1.3:4004"}},
 	}))
 	f.Add(AppendDigestDiff(nil, DigestDiff{Origins: []string{"gw", "gw2"}}))
 	f.Add([]byte{'I', 'F', byte(FrameBatch), 0, 0, 0, 1, 0})
@@ -125,7 +101,7 @@ func FuzzParseBatchDigest(f *testing.F) {
 				return
 			}
 			again, err := ParseDigest(AppendDigest(nil, d)[frameHeaderLen:])
-			if err != nil || len(again.Origins) != len(d.Origins) || len(again.Peers) != len(d.Peers) {
+			if err != nil || len(again.Origins) != len(d.Origins) {
 				t.Fatalf("digest remarshal mismatch: %+v vs %+v (%v)", d, again, err)
 			}
 			for i := range d.Origins {

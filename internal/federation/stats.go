@@ -42,12 +42,10 @@ func (c *counters) count(t FrameType, n int, sent bool) {
 }
 
 // Stats is a point-in-time snapshot of one endpoint's federation
-// traffic and overlay state.
+// traffic and sessions.
 type Stats struct {
 	// Per-frame-type counts, sent and received.
 	HelloSent, HelloRecv           uint64
-	AnnounceSent, AnnounceRecv     uint64
-	WithdrawSent, WithdrawRecv     uint64
 	BatchSent, BatchRecv           uint64
 	DigestSent, DigestRecv         uint64
 	DigestDiffSent, DigestDiffRecv uint64
@@ -76,8 +74,6 @@ type Stats struct {
 	QueueDepth int
 	// Sessions is the current connected peer count.
 	Sessions int
-	// KnownPeers is the overlay's learned peer-table size.
-	KnownPeers int
 
 	// Warm-boot census: epochs and graves seeded from the persistent
 	// view store at construction. Zero when the endpoint started cold
@@ -94,10 +90,6 @@ func (e *Endpoint) Stats() Stats {
 	st := Stats{
 		HelloSent:      c.sentFrames[FrameHello].Load(),
 		HelloRecv:      c.recvFrames[FrameHello].Load(),
-		AnnounceSent:   c.sentFrames[FrameAnnounce].Load(),
-		AnnounceRecv:   c.recvFrames[FrameAnnounce].Load(),
-		WithdrawSent:   c.sentFrames[FrameWithdraw].Load(),
-		WithdrawRecv:   c.recvFrames[FrameWithdraw].Load(),
 		BatchSent:      c.sentFrames[FrameBatch].Load(),
 		BatchRecv:      c.recvFrames[FrameBatch].Load(),
 		DigestSent:     c.sentFrames[FrameDigest].Load(),
@@ -127,9 +119,6 @@ func (e *Endpoint) Stats() Stats {
 		st.QueueDepth += len(s.outbox)
 	}
 	e.mu.Unlock()
-	e.overlayMu.Lock()
-	st.KnownPeers = len(e.knownPeers)
-	e.overlayMu.Unlock()
 	return st
 }
 
@@ -137,15 +126,15 @@ func (e *Endpoint) Stats() Stats {
 // indiss-gw prints on shutdown.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"federation: sessions=%d known-peers=%d queue-depth=%d\n"+
-			"  sent: bytes=%d hello=%d announce=%d withdraw=%d batch=%d(entries=%d) digest=%d diff=%d\n"+
-			"  recv: bytes=%d hello=%d announce=%d withdraw=%d batch=%d(entries=%d) digest=%d diff=%d\n"+
+		"federation: sessions=%d queue-depth=%d\n"+
+			"  sent: bytes=%d hello=%d batch=%d(entries=%d) digest=%d diff=%d\n"+
+			"  recv: bytes=%d hello=%d batch=%d(entries=%d) digest=%d diff=%d\n"+
 			"  digest: hits=%d misses=%d pushes=%d requests=%d\n"+
 			"  backpressure: queue-drops=%d peers-shed=%d\n"+
 			"  warm-boot: epochs=%d graves=%d",
-		s.Sessions, s.KnownPeers, s.QueueDepth,
-		s.BytesSent, s.HelloSent, s.AnnounceSent, s.WithdrawSent, s.BatchSent, s.BatchEntriesSent, s.DigestSent, s.DigestDiffSent,
-		s.BytesRecv, s.HelloRecv, s.AnnounceRecv, s.WithdrawRecv, s.BatchRecv, s.BatchEntriesRecv, s.DigestRecv, s.DigestDiffRecv,
+		s.Sessions, s.QueueDepth,
+		s.BytesSent, s.HelloSent, s.BatchSent, s.BatchEntriesSent, s.DigestSent, s.DigestDiffSent,
+		s.BytesRecv, s.HelloRecv, s.BatchRecv, s.BatchEntriesRecv, s.DigestRecv, s.DigestDiffRecv,
 		s.DigestHits, s.DigestMisses, s.DigestPushes, s.DigestRequests,
 		s.QueueDrops, s.PeersShed,
 		s.WarmEpochs, s.WarmGraves)

@@ -4,17 +4,16 @@
 // by a gateway several routed hops away — the scale-out the paper's §3
 // gateway placement implies but never builds.
 //
-// The protocol stays small: a version handshake (HELLO) that refuses
-// peers older than Version, then BATCH frames carrying the flush
-// window's coalesced ANNOUNCE/WITHDRAW deltas, and a jittered
-// per-origin DIGEST each anti-entropy round. At quiescence a round
-// costs one digest per link regardless of view size; records cross the
-// wire only when a digest proves the peer missing or stale (the peer
-// pushes, or answers a DIGEST-DIFF request). Standalone ANNOUNCE and
-// WITHDRAW frames carry what does not batch: a directed withdraw-back
-// repair and records too large for a BATCH frame. HELLO and DIGEST
-// also gossip a bounded peer sample, from which the overlay
-// self-organizes (see overlay.go).
+// A gateway peers exactly as configured: it dials its Peers and keeps
+// them dialed, and it accepts whoever dials it. The protocol stays
+// small: a version handshake (HELLO) that refuses peers older than
+// Version, then BATCH frames carrying every announce and withdraw
+// delta, and a jittered per-origin DIGEST each anti-entropy round. At
+// quiescence a round costs one digest per link regardless of view size;
+// records cross the wire only when a digest proves the peer missing or
+// stale (the peer pushes, or answers a DIGEST-DIFF request). A directed
+// withdraw-back repair, or a record too large to share a frame, travels
+// as a BATCH of one entry.
 //
 // Loop safety in meshed peerings rests on the same guards at every
 // hop: the originating gateway drops its own records coming back, a hop
@@ -35,7 +34,7 @@ const (
 	// Version is the peering protocol version this build speaks, and
 	// the oldest it accepts: a HELLO below it gets no session. A newer
 	// peer is accepted and spoken to in this version.
-	Version = 3
+	Version = 4
 
 	// DefaultPort is the IANA-style default TCP port of the federation
 	// endpoint.
@@ -60,9 +59,6 @@ const (
 	// maxDigestOrigins bounds the per-origin summaries in one DIGEST or
 	// DIGEST-DIFF.
 	maxDigestOrigins = 8192
-
-	// maxWirePeers bounds the peer sample gossiped in HELLO and DIGEST.
-	maxWirePeers = 64
 )
 
 // Frame magic bytes ("IF": INDISS Federation).
@@ -74,39 +70,27 @@ const (
 // FrameType tags a frame.
 type FrameType uint8
 
-// Frame types.
+// Frame types. Types 2 and 3 were the standalone ANNOUNCE and WITHDRAW
+// frames of protocol v3; they are retired, and ParseFrameHeader rejects
+// them.
 const (
 	// FrameHello opens a session: version + gateway identity.
-	FrameHello FrameType = iota + 1
-	// FrameAnnounce carries one record (insert or refresh).
-	FrameAnnounce
-	// FrameWithdraw retracts one record.
-	FrameWithdraw
-	// FrameBatch carries many announce/withdraw deltas in one frame:
-	// one length-prefixed payload, one write, one read.
-	FrameBatch
+	FrameHello FrameType = 1
+	// FrameBatch carries announce/withdraw deltas, one or many per
+	// frame: one length-prefixed payload, one write, one read.
+	FrameBatch FrameType = 4
 	// FrameDigest carries a per-origin summary of the sender's view
 	// (anti-entropy): the receiver pushes only what the digest proves
 	// the sender is missing or holds stale.
-	FrameDigest
+	FrameDigest FrameType = 5
 	// FrameDigestDiff requests full records for the listed origins:
 	// sent when a digest names an origin the receiver lacks entirely or
 	// disagrees about.
-	FrameDigestDiff
+	FrameDigestDiff FrameType = 6
 )
 
 // ErrWire reports a malformed frame.
 var ErrWire = errors.New("federation: malformed frame")
-
-// PeerInfo is one gossiped peer: identity plus dialable address. It
-// rides HELLO and DIGEST frames so gateways learn peers-of-peers and
-// self-organize the overlay instead of needing hand-wired topology.
-type PeerInfo struct {
-	// ID is the peer's gateway identity.
-	ID string
-	// Addr is the peer's federation listener as "ip:port".
-	Addr string
-}
 
 // Hello is the session-opening handshake.
 type Hello struct {
@@ -115,12 +99,6 @@ type Hello struct {
 	Version uint8
 	// GatewayID is the sender's federation identity.
 	GatewayID string
-	// ListenAddr is the sender's own federation listener as "ip:port",
-	// so the accepting side can gossip a dialable address for the
-	// dialer (whose ephemeral source port is useless).
-	ListenAddr string
-	// Peers is a bounded sample of the sender's known overlay peers.
-	Peers []PeerInfo
 }
 
 // Announce advertises one service record to a peer.
@@ -215,14 +193,11 @@ type OriginSummary struct {
 }
 
 // Digest is one anti-entropy round's summary: the sender's view rolled
-// up per origin gateway, plus a peer-gossip sample piggybacked so the
-// overlay keeps learning even at quiescence.
+// up per origin gateway.
 type Digest struct {
 	// Origins are the per-origin summaries, one per origin gateway the
 	// sender knows (live records or graves).
 	Origins []OriginSummary
-	// Peers is a bounded sample of the sender's known overlay peers.
-	Peers []PeerInfo
 }
 
 // DigestDiff asks the peer for full records of the listed origins —
@@ -252,32 +227,18 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func appendPeers(dst []byte, peers []PeerInfo) []byte {
-	if len(peers) > maxWirePeers {
-		peers = peers[:maxWirePeers]
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(peers)))
-	for _, p := range peers {
-		dst = appendString(dst, p.ID)
-		dst = appendString(dst, p.Addr)
-	}
-	return dst
-}
-
 // AppendHello appends a HELLO frame to dst.
 func AppendHello(dst []byte, h Hello) []byte {
 	dst, at := appendHeader(dst, FrameHello)
 	dst = append(dst, h.Version)
 	dst = appendString(dst, h.GatewayID)
-	dst = appendString(dst, h.ListenAddr)
-	dst = appendPeers(dst, h.Peers)
 	return finishFrame(dst, at)
 }
 
-// appendAnnounceBody appends an announce's fields (no frame header) —
-// shared by the standalone ANNOUNCE frame and BATCH entries. Attribute
-// order on the wire follows map iteration; receivers rebuild a map, so
-// the encoding stays deterministic in meaning if not in bytes.
+// appendAnnounceBody appends an announce's fields to a BATCH entry.
+// Attribute order on the wire follows map iteration; receivers rebuild
+// a map, so the encoding stays deterministic in meaning if not in
+// bytes.
 func appendAnnounceBody(dst []byte, a *Announce) []byte {
 	dst = appendString(dst, a.OriginGW)
 	dst = append(dst, a.Hops)
@@ -295,7 +256,7 @@ func appendAnnounceBody(dst []byte, a *Announce) []byte {
 	return dst
 }
 
-// appendWithdrawBody appends a withdraw's fields (no frame header).
+// appendWithdrawBody appends a withdraw's fields to a BATCH entry.
 func appendWithdrawBody(dst []byte, w *Withdraw) []byte {
 	dst = appendString(dst, w.OriginGW)
 	dst = append(dst, w.Hops)
@@ -305,20 +266,6 @@ func appendWithdrawBody(dst []byte, w *Withdraw) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, w.TTL)
 	dst = binary.AppendUvarint(dst, w.Epoch)
 	return dst
-}
-
-// AppendAnnounce appends an ANNOUNCE frame to dst.
-func AppendAnnounce(dst []byte, a Announce) []byte {
-	dst, at := appendHeader(dst, FrameAnnounce)
-	dst = appendAnnounceBody(dst, &a)
-	return finishFrame(dst, at)
-}
-
-// AppendWithdraw appends a WITHDRAW frame to dst.
-func AppendWithdraw(dst []byte, w Withdraw) []byte {
-	dst, at := appendHeader(dst, FrameWithdraw)
-	dst = appendWithdrawBody(dst, &w)
-	return finishFrame(dst, at)
 }
 
 // AppendBatch appends a BATCH frame carrying the entries to dst.
@@ -352,7 +299,6 @@ func AppendDigest(dst []byte, d Digest) []byte {
 		dst = binary.AppendUvarint(dst, o.GraveCount)
 		dst = binary.BigEndian.AppendUint64(dst, o.GraveHash)
 	}
-	dst = appendPeers(dst, d.Peers)
 	return finishFrame(dst, at)
 }
 
@@ -448,28 +394,6 @@ func (r *reader) done() error {
 	return nil
 }
 
-func parsePeers(r *reader) []PeerInfo {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > maxWirePeers {
-		r.fail()
-		return nil
-	}
-	var peers []PeerInfo
-	if n > 0 {
-		peers = make([]PeerInfo, 0, n)
-	}
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		p := PeerInfo{ID: r.string(), Addr: r.string()}
-		if r.err == nil {
-			peers = append(peers, p)
-		}
-	}
-	return peers
-}
-
 // ParseHello decodes a HELLO payload. Trailing bytes are tolerated only
 // from versions newer than this build, so a future version can extend
 // HELLO without breaking the handshake. ParseHello decodes any version
@@ -477,8 +401,6 @@ func parsePeers(r *reader) []PeerInfo {
 func ParseHello(payload []byte) (Hello, error) {
 	r := &reader{b: payload}
 	h := Hello{Version: r.byte(), GatewayID: r.string()}
-	h.ListenAddr = r.string()
-	h.Peers = parsePeers(r)
 	if h.Version > Version {
 		if r.err != nil {
 			return Hello{}, r.err
@@ -492,8 +414,7 @@ func ParseHello(payload []byte) (Hello, error) {
 	return h, nil
 }
 
-// parseAnnounceBody decodes an announce's fields from r — shared by the
-// standalone ANNOUNCE frame and BATCH entries.
+// parseAnnounceBody decodes a BATCH entry's announce fields from r.
 func parseAnnounceBody(r *reader) (Announce, error) {
 	a := Announce{OriginGW: r.string()}
 	a.Hops = r.byte()
@@ -526,7 +447,7 @@ func parseAnnounceBody(r *reader) (Announce, error) {
 	return a, nil
 }
 
-// parseWithdrawBody decodes a withdraw's fields from r.
+// parseWithdrawBody decodes a BATCH entry's withdraw fields from r.
 func parseWithdrawBody(r *reader) (Withdraw, error) {
 	w := Withdraw{OriginGW: r.string()}
 	w.Hops = r.byte()
@@ -540,32 +461,6 @@ func parseWithdrawBody(r *reader) (Withdraw, error) {
 	}
 	if w.URL == "" {
 		return Withdraw{}, fmt.Errorf("%w: withdraw without URL", ErrWire)
-	}
-	return w, nil
-}
-
-// ParseAnnounce decodes an ANNOUNCE payload.
-func ParseAnnounce(payload []byte) (Announce, error) {
-	r := &reader{b: payload}
-	a, err := parseAnnounceBody(r)
-	if err != nil {
-		return Announce{}, err
-	}
-	if err := r.done(); err != nil {
-		return Announce{}, err
-	}
-	return a, nil
-}
-
-// ParseWithdraw decodes a WITHDRAW payload.
-func ParseWithdraw(payload []byte) (Withdraw, error) {
-	r := &reader{b: payload}
-	w, err := parseWithdrawBody(r)
-	if err != nil {
-		return Withdraw{}, err
-	}
-	if err := r.done(); err != nil {
-		return Withdraw{}, err
 	}
 	return w, nil
 }
@@ -632,7 +527,6 @@ func ParseDigest(payload []byte) (Digest, error) {
 			d.Origins = append(d.Origins, o)
 		}
 	}
-	d.Peers = parsePeers(r)
 	if err := r.done(); err != nil {
 		return Digest{}, err
 	}
@@ -675,7 +569,7 @@ func ParseFrameHeader(hdr []byte) (FrameType, int, error) {
 		return 0, 0, fmt.Errorf("%w: bad magic %x%x", ErrWire, hdr[0], hdr[1])
 	}
 	t := FrameType(hdr[2])
-	if t < FrameHello || t > FrameDigestDiff {
+	if t != FrameHello && (t < FrameBatch || t > FrameDigestDiff) {
 		return 0, 0, fmt.Errorf("%w: unknown frame type %d", ErrWire, hdr[2])
 	}
 	n := binary.BigEndian.Uint32(hdr[3:7])

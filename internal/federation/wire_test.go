@@ -8,12 +8,7 @@ import (
 )
 
 func TestHelloRoundTrip(t *testing.T) {
-	in := Hello{
-		Version:    Version,
-		GatewayID:  "gw-a",
-		ListenAddr: "10.0.1.9:7741",
-		Peers:      []PeerInfo{{ID: "gw-b", Addr: "10.0.2.9:7741"}},
-	}
+	in := Hello{Version: Version, GatewayID: "gw-a"}
 	frame := AppendHello(nil, in)
 	ft, n, err := ParseFrameHeader(frame)
 	if err != nil || ft != FrameHello || n != len(frame)-frameHeaderLen {
@@ -25,6 +20,22 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
+// batchOfOne round-trips one delta through a BATCH frame, the form
+// every announce and withdraw takes on the wire.
+func batchOfOne(t *testing.T, in BatchEntry) BatchEntry {
+	t.Helper()
+	frame := AppendBatch(nil, []BatchEntry{in})
+	ft, n, err := ParseFrameHeader(frame)
+	if err != nil || ft != FrameBatch || n != len(frame)-frameHeaderLen {
+		t.Fatalf("header: %v %v %v", ft, n, err)
+	}
+	out, err := ParseBatch(frame[frameHeaderLen:])
+	if err != nil || len(out) != 1 {
+		t.Fatalf("batch = %+v, %v", out, err)
+	}
+	return out[0]
+}
+
 func TestAnnounceRoundTrip(t *testing.T) {
 	in := Announce{
 		OriginGW: "gw-c",
@@ -34,40 +45,27 @@ func TestAnnounceRoundTrip(t *testing.T) {
 		URL:      "soap://10.0.3.2:4004/control",
 		Location: "http://10.0.3.2:4004/description.xml",
 		TTL:      1_800_000,
+		Epoch:    42,
 		Attrs:    map[string]string{"friendlyName": "Clock", "usn": "uuid:x"},
 	}
-	frame := AppendAnnounce(nil, in)
-	ft, n, err := ParseFrameHeader(frame)
-	if err != nil || ft != FrameAnnounce {
-		t.Fatalf("header: %v %v %v", ft, n, err)
-	}
-	out, err := ParseAnnounce(frame[frameHeaderLen:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
+	out := batchOfOne(t, BatchEntry{Announce: &in})
+	if out.Withdraw != nil || out.Announce == nil || !reflect.DeepEqual(in, *out.Announce) {
 		t.Fatalf("roundtrip mismatch:\n in %+v\nout %+v", in, out)
 	}
 }
 
 func TestAnnounceEmptyAttrs(t *testing.T) {
 	in := Announce{OriginGW: "g", Origin: "SLP", Kind: "k", URL: "u", TTL: 1}
-	out, err := ParseAnnounce(AppendAnnounce(nil, in)[frameHeaderLen:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.URL != "u" || len(out.Attrs) != 0 {
+	out := batchOfOne(t, BatchEntry{Announce: &in})
+	if out.Announce == nil || out.Announce.URL != "u" || len(out.Announce.Attrs) != 0 {
 		t.Fatalf("out = %+v", out)
 	}
 }
 
 func TestWithdrawRoundTrip(t *testing.T) {
-	in := Withdraw{OriginGW: "gw-a", Hops: 1, Origin: "SLP", Kind: "printer", URL: "service:printer://x"}
-	out, err := ParseWithdraw(AppendWithdraw(nil, in)[frameHeaderLen:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
+	in := Withdraw{OriginGW: "gw-a", Hops: 1, Origin: "SLP", Kind: "printer", URL: "service:printer://x", TTL: 500, Epoch: 9}
+	out := batchOfOne(t, BatchEntry{Withdraw: &in})
+	if out.Announce != nil || out.Withdraw == nil || *out.Withdraw != in {
 		t.Fatalf("roundtrip mismatch: %+v vs %+v", in, out)
 	}
 }
@@ -75,12 +73,16 @@ func TestWithdrawRoundTrip(t *testing.T) {
 func TestReadFrameSequence(t *testing.T) {
 	var stream []byte
 	stream = AppendHello(stream, Hello{Version: Version, GatewayID: "a"})
-	stream = AppendAnnounce(stream, Announce{OriginGW: "a", Origin: "SLP", Kind: "k", URL: "u", TTL: 5})
-	stream = AppendWithdraw(stream, Withdraw{OriginGW: "a", Origin: "SLP", Kind: "k", URL: "u"})
+	stream = AppendBatch(stream, []BatchEntry{
+		{Announce: &Announce{OriginGW: "a", Origin: "SLP", Kind: "k", URL: "u", TTL: 5}},
+		{Withdraw: &Withdraw{OriginGW: "a", Origin: "SLP", Kind: "k", URL: "v"}},
+	})
+	stream = AppendDigest(stream, Digest{Origins: []OriginSummary{{OriginGW: "a", LiveCount: 1}}})
+	stream = AppendDigestDiff(stream, DigestDiff{Origins: []string{"a"}})
 
 	r := bytes.NewReader(stream)
 	var buf []byte
-	want := []FrameType{FrameHello, FrameAnnounce, FrameWithdraw}
+	want := []FrameType{FrameHello, FrameBatch, FrameDigest, FrameDigestDiff}
 	for i, w := range want {
 		ft, p, err := ReadFrame(r, buf)
 		if err != nil || ft != w {
@@ -95,8 +97,10 @@ func TestParseRejectsMalformed(t *testing.T) {
 		nil,
 		{0},
 		{'X', 'F', 1, 0, 0, 0, 0},          // bad magic
+		{'I', 'F', 2, 0, 0, 0, 0},          // retired ANNOUNCE (v3)
+		{'I', 'F', 3, 0, 0, 0, 0},          // retired WITHDRAW (v3)
 		{'I', 'F', 99, 0, 0, 0, 0},         // unknown type
-		{'I', 'F', 2, 0xFF, 0xFF, 0xFF, 0}, // oversize payload
+		{'I', 'F', 4, 0xFF, 0xFF, 0xFF, 0}, // oversize payload
 	}
 	for i, c := range cases {
 		if _, _, err := ParseFrameHeader(c); !errors.Is(err, ErrWire) {
@@ -106,17 +110,20 @@ func TestParseRejectsMalformed(t *testing.T) {
 	if _, err := ParseHello([]byte{1}); err == nil {
 		t.Error("truncated hello accepted")
 	}
-	if _, err := ParseAnnounce([]byte{0, 0, 0}); err == nil {
+	if _, err := ParseBatch([]byte{1, batchOpAnnounce, 0, 0, 0}); err == nil {
 		t.Error("truncated announce accepted")
 	}
-	if _, err := ParseWithdraw(nil); err == nil {
+	if _, err := ParseBatch([]byte{1, batchOpWithdraw}); err == nil {
 		t.Error("empty withdraw accepted")
 	}
-	// Announce without URL is semantically invalid.
+	// An announce without a URL is semantically invalid.
+	noURL := Announce{OriginGW: "g", Origin: "SLP", Kind: "k", TTL: 1}
+	if _, err := ParseBatch(AppendBatch(nil, []BatchEntry{{Announce: &noURL}})[frameHeaderLen:]); err == nil {
+		t.Error("announce without URL accepted")
+	}
 	a := Announce{OriginGW: "g", Origin: "SLP", Kind: "k", URL: "u", TTL: 1}
-	frame := AppendAnnounce(nil, a)
-	payload := frame[frameHeaderLen:]
-	if _, err := ParseAnnounce(append(payload, 0xFF)); err == nil {
+	payload := AppendBatch(nil, []BatchEntry{{Announce: &a}})[frameHeaderLen:]
+	if _, err := ParseBatch(append(payload, 0xFF)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 }
