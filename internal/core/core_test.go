@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -68,6 +69,126 @@ func TestRateMeter(t *testing.T) {
 	}
 	if m.Total() != 1000 {
 		t.Errorf("total = %d", m.Total())
+	}
+}
+
+// TestRateMeterFlood: 50 000 datagrams inside one window cost the meter
+// no allocation, and the rate is their bytes over the window until the
+// window has passed them.
+func TestRateMeterFlood(t *testing.T) {
+	const n, size = 50000, 100
+	var m *RateMeter
+	var now time.Time
+	// Goroutines other tests left winding down allocate too, so keep the
+	// least growth of three floods.
+	grew := ^uint64(0)
+	for try := 0; try < 3; try++ {
+		m, now = NewRateMeter(time.Second), time.Now()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			m.Observe(now.Add(time.Duration(i)*100*time.Nanosecond), size) // 5 ms in all
+		}
+		runtime.ReadMemStats(&after)
+		grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+	}
+	if grew >= 4<<10 {
+		t.Errorf("%d observations allocated %d bytes, want under 4 KiB", n, grew)
+	}
+	if rate := m.Rate(now.Add(5 * time.Millisecond)); rate != n*size {
+		t.Errorf("rate = %v, want %d B/s", rate, n*size)
+	}
+	if rate := m.Rate(now.Add(time.Second + time.Second/rateBuckets)); rate != 0 {
+		t.Errorf("rate a window and a bucket later = %v, want 0", rate)
+	}
+}
+
+// TestRateMeterWindowEdges: a late timestamp still inside the window
+// counts, one older than the window does not, and one from before the
+// meter existed is only added to the total.
+func TestRateMeterWindowEdges(t *testing.T) {
+	m := NewRateMeter(time.Second)
+	now := time.Now()
+	m.Observe(now.Add(1500*time.Millisecond), 1000)
+	m.Observe(now.Add(1200*time.Millisecond), 10) // out of order, inside the window
+	m.Observe(now.Add(500*time.Millisecond), 100) // a window older, in a slot that moved on
+	m.Observe(now.Add(200*time.Millisecond), 100) // a window older, in an idle slot
+	m.Observe(time.Time{}, 1)                     // long before the epoch
+	m.Observe(now.Add(-time.Hour), 1)
+	if rate := m.Rate(now.Add(1500 * time.Millisecond)); rate != 1010 {
+		t.Errorf("rate = %v, want 1010 B/s", rate)
+	}
+	if m.Total() != 1212 {
+		t.Errorf("total = %d, want 1212", m.Total())
+	}
+}
+
+// TestMonitorConcurrentRecordAndRead: scan loops on three ports record
+// while readers poll every accessor; run it under -race.
+func TestMonitorConcurrentRecordAndRead(t *testing.T) {
+	n := simnet.New(simnet.Config{})
+	t.Cleanup(n.Close)
+	a := n.MustAddHost("a", "10.0.0.1")
+	b := n.MustAddHost("b", "10.0.0.2")
+	mon, err := NewMonitor(b, MonitorConfig{})
+	if err != nil {
+		t.Fatalf("NewMonitor: %v", err)
+	}
+	defer mon.Close()
+
+	targets := map[SDP]simnet.Addr{
+		SDPSLP:  {IP: "239.255.255.253", Port: 427},
+		SDPUPnP: {IP: "239.255.255.250", Port: 1900},
+		SDPJini: {IP: "224.0.1.85", Port: 4160},
+	}
+	stop := make(chan struct{})
+	var readers, senders sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mon.TotalRate()
+				mon.Detected()
+				for sdp := range targets {
+					mon.Rate(sdp)
+					mon.Seen(sdp)
+				}
+			}
+		}()
+	}
+	for _, dst := range targets {
+		send, err := a.ListenUDP(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		senders.Add(1)
+		go func() {
+			defer senders.Done()
+			for i := 0; i < 200; i++ {
+				if err := send.WriteTo(make([]byte, 64), dst); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	senders.Wait()
+	deadline := time.Now().Add(2 * time.Second)
+	for len(mon.Detected()) < len(targets) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	readers.Wait()
+	for sdp := range targets {
+		if !mon.Seen(sdp) || mon.Rate(sdp) <= 0 {
+			t.Errorf("%s: seen %v, rate %v; want seen with a positive rate", sdp, mon.Seen(sdp), mon.Rate(sdp))
+		}
 	}
 }
 

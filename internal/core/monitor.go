@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"indiss/internal/netapi"
@@ -35,27 +36,32 @@ type DetectionHandler func(Detection)
 // multicast groups (paper §2.1, Figure 1). It binds shared multicast-only
 // sockets, so native stacks on the same host are unaffected.
 type Monitor struct {
-	stack   netapi.Stack
-	table   *CorrespondenceTable
 	handler DetectionHandler
+	epoch   time.Time
+	// traffic holds one entry per SDP of the table, fixed at
+	// construction: the scan loops record into it without a shared lock.
+	traffic map[SDP]*sdpTraffic
 
-	mu       sync.Mutex
-	conns    []netapi.PacketConn
-	detected map[SDP]time.Time
-	meters   map[SDP]*RateMeter
-	window   time.Duration
+	mu    sync.Mutex
+	conns []netapi.PacketConn
 
 	stop chan struct{}
 	wg   sync.WaitGroup
+}
+
+// sdpTraffic is what the monitor knows of one SDP: its traffic rate over
+// the last second, and when it was last seen.
+type sdpTraffic struct {
+	meter *RateMeter
+	// last is the latest arrival in ns after the monitor's epoch, 0
+	// until the first.
+	last atomic.Int64
 }
 
 // MonitorConfig tunes a monitor.
 type MonitorConfig struct {
 	// Table is the port→SDP correspondence table; nil uses DefaultTable.
 	Table *CorrespondenceTable
-	// RateWindow is the sliding window of the per-SDP traffic meters
-	// (default 1s).
-	RateWindow time.Duration
 	// Handler receives every detection. Optional.
 	Handler DetectionHandler
 }
@@ -67,16 +73,18 @@ func NewMonitor(stack netapi.Stack, cfg MonitorConfig) (*Monitor, error) {
 		table = DefaultTable()
 	}
 	m := &Monitor{
-		stack:    stack,
-		table:    table,
-		handler:  cfg.Handler,
-		detected: make(map[SDP]time.Time),
-		meters:   make(map[SDP]*RateMeter),
-		window:   cfg.RateWindow,
-		stop:     make(chan struct{}),
+		handler: cfg.Handler,
+		epoch:   time.Now(),
+		traffic: make(map[SDP]*sdpTraffic),
+		stop:    make(chan struct{}),
 	}
 	for _, port := range table.Ports() {
 		entry, _ := table.Lookup(port)
+		traffic := m.traffic[entry.SDP]
+		if traffic == nil {
+			traffic = &sdpTraffic{meter: NewRateMeter(time.Second)}
+			m.traffic[entry.SDP] = traffic
+		}
 		conn, err := stack.ListenMulticastUDP(port)
 		if err != nil {
 			m.Close()
@@ -91,10 +99,10 @@ func NewMonitor(stack netapi.Stack, cfg MonitorConfig) (*Monitor, error) {
 		}
 		m.conns = append(m.conns, conn)
 		m.wg.Add(1)
-		go func(c netapi.PacketConn, entry ScanPort) {
+		go func() {
 			defer m.wg.Done()
-			m.scan(c, entry)
-		}(conn, entry)
+			m.scan(conn, entry, traffic)
+		}()
 	}
 	return m, nil
 }
@@ -118,14 +126,15 @@ func (m *Monitor) Close() {
 }
 
 // scan is the per-port loop: data arrival alone identifies the SDP.
-func (m *Monitor) scan(conn netapi.PacketConn, entry ScanPort) {
+func (m *Monitor) scan(conn netapi.PacketConn, entry ScanPort, traffic *sdpTraffic) {
 	for {
 		dg, err := conn.Recv(0)
 		if err != nil {
 			return
 		}
 		now := time.Now()
-		m.record(entry.SDP, now, len(dg.Payload))
+		traffic.meter.Observe(now, len(dg.Payload))
+		traffic.last.Store(max(int64(now.Sub(m.epoch)), 1))
 		if m.handler != nil {
 			m.handler(Detection{
 				SDP:  entry.SDP,
@@ -139,61 +148,39 @@ func (m *Monitor) scan(conn netapi.PacketConn, entry ScanPort) {
 	}
 }
 
-func (m *Monitor) record(sdp SDP, now time.Time, size int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.detected[sdp] = now
-	meter, ok := m.meters[sdp]
-	if !ok {
-		meter = NewRateMeter(m.window)
-		m.meters[sdp] = meter
-	}
-	meter.Observe(now, size)
-}
-
 // Detected returns the SDPs observed so far, with last-seen times.
 func (m *Monitor) Detected() map[SDP]time.Time {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[SDP]time.Time, len(m.detected))
-	for k, v := range m.detected {
-		out[k] = v
+	out := make(map[SDP]time.Time)
+	for sdp, traffic := range m.traffic {
+		if last := traffic.last.Load(); last != 0 {
+			out[sdp] = m.epoch.Add(time.Duration(last))
+		}
 	}
 	return out
 }
 
 // Seen reports whether the SDP has been observed.
 func (m *Monitor) Seen(sdp SDP) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.detected[sdp]
-	return ok
+	traffic, ok := m.traffic[sdp]
+	return ok && traffic.last.Load() != 0
 }
 
 // Rate returns the SDP's observed traffic rate in bytes/second.
 func (m *Monitor) Rate(sdp SDP) float64 {
-	m.mu.Lock()
-	meter, ok := m.meters[sdp]
-	m.mu.Unlock()
+	traffic, ok := m.traffic[sdp]
 	if !ok {
 		return 0
 	}
-	return meter.Rate(time.Now())
+	return traffic.meter.Rate(time.Now())
 }
 
 // TotalRate sums the rates of every observed SDP — the "network traffic"
 // input of the §4.2 threshold policy.
 func (m *Monitor) TotalRate() float64 {
-	m.mu.Lock()
-	meters := make([]*RateMeter, 0, len(m.meters))
-	for _, meter := range m.meters {
-		meters = append(meters, meter)
-	}
-	m.mu.Unlock()
 	now := time.Now()
 	var sum float64
-	for _, meter := range meters {
-		sum += meter.Rate(now)
+	for _, traffic := range m.traffic {
+		sum += traffic.meter.Rate(now)
 	}
 	return sum
 }

@@ -32,7 +32,7 @@ func BenchmarkLargeViewBudget(b *testing.B) {
 	url := func(i int) string { return fmt.Sprintf("soap://10.%d.%d.%d:4004/s%d", i>>16&255, i>>8&255, i&255, i) }
 	exp := time.Now().Add(24 * time.Hour)
 	for i := 0; i < n; i++ {
-		v.Put(ServiceRecord{
+		rec := ServiceRecord{
 			Origin:   SDPUPnP,
 			Kind:     "kind-" + fmt.Sprint(i%4096),
 			URL:      url(i),
@@ -40,7 +40,14 @@ func BenchmarkLargeViewBudget(b *testing.B) {
 			OriginGW: "gw-far",
 			Hops:     1,
 			Remote:   true,
-		})
+		}
+		v.Put(rec)
+		// Log it as a System's delta pump would: Spill only moves
+		// records the log already holds.
+		logged := toStoreRecord(&rec)
+		if err := st.Put(&logged); err != nil {
+			b.Fatal(err)
+		}
 		// Enforce as a deployed system's maintenance tick would, so the
 		// hot tier never balloons far past the budget mid-load.
 		if i%65536 == 65535 {

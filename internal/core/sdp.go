@@ -107,19 +107,23 @@ func (t *CorrespondenceTable) Restrict(ports []int) (*CorrespondenceTable, error
 	return out, nil
 }
 
+// rateBuckets is how many slices a RateMeter cuts its window into: the
+// rate moves in steps of window/rateBuckets (15.6 ms for a 1 s window).
+const rateBuckets = 64
+
 // RateMeter measures traffic rate over a sliding window, supporting the
 // §4.2 adaptation policy ("a network traffic threshold below which INDISS
-// … must become active").
+// … must become active"). It keeps a fixed ring of byte counts, one per
+// window/rateBuckets tick counted on the monotonic clock from the meter's
+// creation, so an observation costs O(1) and no allocation, and memory
+// stays constant under any traffic.
 type RateMeter struct {
-	mu      sync.Mutex
-	window  time.Duration
-	samples []rateSample
-	total   int64
-}
-
-type rateSample struct {
-	at   time.Time
-	size int64
+	mu     sync.Mutex
+	window time.Duration
+	width  time.Duration // one tick
+	epoch  time.Time
+	ring   [rateBuckets]struct{ tick, bytes int64 }
+	total  int64
 }
 
 // NewRateMeter creates a meter with the given sliding window.
@@ -127,26 +131,46 @@ func NewRateMeter(window time.Duration) *RateMeter {
 	if window <= 0 {
 		window = time.Second
 	}
-	return &RateMeter{window: window}
+	return &RateMeter{window: window, width: max(window/rateBuckets, 1), epoch: time.Now()}
 }
 
-// Observe records size bytes at time now.
+// tick numbers the window/rateBuckets slice at falls in, counted from
+// the epoch. It floors, so an instant before the epoch gets a negative
+// tick of its own instead of sharing tick 0.
+func (m *RateMeter) tick(at time.Time) int64 {
+	d := at.Sub(m.epoch)
+	t := int64(d / m.width)
+	if d%m.width < 0 {
+		t--
+	}
+	return t
+}
+
+// Observe records size bytes at time now. A sample a whole window older
+// than one the ring already holds in its slot counts toward Total only.
 func (m *RateMeter) Observe(now time.Time, size int) {
+	t := m.tick(now)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.samples = append(m.samples, rateSample{at: now, size: int64(size)})
 	m.total += int64(size)
-	m.trim(now)
+	switch b := &m.ring[t&(rateBuckets-1)]; {
+	case b.tick == t:
+		b.bytes += int64(size)
+	case b.tick < t || b.bytes == 0: // the slot is empty or a window behind
+		b.tick, b.bytes = t, int64(size)
+	}
 }
 
 // Rate returns the observed bytes/second over the window ending at now.
 func (m *RateMeter) Rate(now time.Time) float64 {
+	t := m.tick(now)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.trim(now)
 	var sum int64
-	for _, s := range m.samples {
-		sum += s.size
+	for _, b := range &m.ring {
+		if b.tick > t-rateBuckets && b.tick <= t {
+			sum += b.bytes
+		}
 	}
 	return float64(sum) / m.window.Seconds()
 }
@@ -156,15 +180,4 @@ func (m *RateMeter) Total() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.total
-}
-
-func (m *RateMeter) trim(now time.Time) {
-	cutoff := now.Add(-m.window)
-	keep := m.samples[:0]
-	for _, s := range m.samples {
-		if s.at.After(cutoff) {
-			keep = append(keep, s)
-		}
-	}
-	m.samples = keep
 }

@@ -94,19 +94,19 @@ type Unit interface {
 // the monitor does not scan).
 type SelfFilter struct {
 	mu    sync.Mutex
-	addrs map[string]struct{}
+	addrs map[netapi.Addr]struct{}
 }
 
 // NewSelfFilter returns an empty filter.
 func NewSelfFilter() *SelfFilter {
-	return &SelfFilter{addrs: make(map[string]struct{})}
+	return &SelfFilter{addrs: make(map[netapi.Addr]struct{})}
 }
 
 // Mark records an endpoint as INDISS-owned.
 func (f *SelfFilter) Mark(addr netapi.Addr) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.addrs[addr.String()] = struct{}{}
+	f.addrs[addr] = struct{}{}
 }
 
 // Unmark forgets an endpoint, e.g. when a per-query socket closes and its
@@ -114,14 +114,15 @@ func (f *SelfFilter) Mark(addr netapi.Addr) {
 func (f *SelfFilter) Unmark(addr netapi.Addr) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	delete(f.addrs, addr.String())
+	delete(f.addrs, addr)
 }
 
-// Has reports whether the endpoint is INDISS-owned.
+// Has reports whether the endpoint is INDISS-owned. It runs for every
+// detected datagram and does not allocate.
 func (f *SelfFilter) Has(addr netapi.Addr) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	_, ok := f.addrs[addr.String()]
+	_, ok := f.addrs[addr]
 	return ok
 }
 

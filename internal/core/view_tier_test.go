@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"indiss/internal/viewstore"
 )
 
 // stubStorage is an in-memory ViewStorage for tier tests.
@@ -182,4 +184,135 @@ func (h *hookedStorage) Spill(recs []ServiceRecord) error {
 		h.onSpill()
 	}
 	return err
+}
+
+// racingStore is the log store under the view, with a Spill that first
+// runs racer once. The racer lands a Remove and re-Puts of batch members
+// in the view and pumps their deltas into the store, so the store
+// applies them before the eviction pass's older copies reach it.
+type racingStore struct {
+	storeAdapter
+	racer func()
+}
+
+func (r *racingStore) Spill(recs []ServiceRecord) error {
+	if racer := r.racer; racer != nil {
+		r.racer = nil
+		racer()
+	}
+	return r.storeAdapter.Spill(recs)
+}
+
+// TestSpillRacingRemoveAndReputKeepsStoreCurrent: batch members that
+// are withdrawn, refreshed or re-kinded between the eviction pass's
+// copy and its Spill, with the store applying those changes first,
+// must not come back from the store: not through Get, not through the
+// cold kind scan, and not on a warm boot.
+func TestSpillRacingRemoveAndReputKeepsStoreCurrent(t *testing.T) {
+	dir := t.TempDir()
+	st, err := viewstore.Open(dir, viewstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { st.Close() }()
+	v := NewServiceView()
+	batches, cancel := v.SubscribeDeltaBatches(16)
+	defer cancel()
+	// pump applies the view's next n delta batches to the store, with
+	// the System's own pump code.
+	pump := func(n int) {
+		ch := make(chan []Delta, n)
+		for i := 0; i < n; i++ {
+			select {
+			case batch := <-batches:
+				ch <- batch
+			case <-time.After(5 * time.Second):
+				t.Fatal("the view never delivered a delta batch")
+			}
+		}
+		close(ch)
+		(&System{store: st}).pumpStore(ch)
+	}
+
+	kept, gone, refreshed, rekinded := tierRec(1, true), tierRec(2, true), tierRec(3, true), tierRec(4, true)
+	for _, rec := range []ServiceRecord{kept, gone, refreshed, rekinded} {
+		v.Put(rec)
+	}
+	pump(4)
+	fresh := refreshed
+	fresh.Expires = refreshed.Expires.Add(time.Minute)
+	moved := rekinded
+	moved.Kind = "timer"
+	v.AttachStorage(&racingStore{storeAdapter: storeAdapter{st}, racer: func() {
+		v.Remove(gone.Origin, gone.URL)
+		v.Remove(refreshed.Origin, refreshed.URL)
+		v.Put(fresh)
+		v.Put(moved)
+		pump(4)
+	}}, 1)
+	v.EnforceBudget(time.Now())
+
+	if rec, ok := v.Get(gone.Origin, gone.URL); ok {
+		t.Errorf("withdrawn record served by Get: %+v", rec)
+	}
+	if rec, ok := st.Lookup(string(gone.Origin), gone.URL, time.Now()); ok {
+		t.Errorf("withdrawn record still in the store: %+v", rec)
+	}
+	if rec, ok := v.Get(moved.Origin, moved.URL); !ok || rec.Kind != "timer" {
+		t.Errorf("re-kinded record: Get = %+v, %v; want kind timer", rec, ok)
+	}
+	cold := map[string]time.Time{}
+	v.ScanCold("clock", time.Now(), func(rec ServiceRecord) bool {
+		cold[rec.URL] = rec.Expires
+		return true
+	})
+	if len(cold) != 2 || !cold[kept.URL].Equal(kept.Expires.Truncate(time.Millisecond)) ||
+		!cold[fresh.URL].Equal(fresh.Expires.Truncate(time.Millisecond)) {
+		t.Errorf("cold clock records = %v; want only %s and the refreshed %s", cold, kept.URL, fresh.URL)
+	}
+
+	// A warm boot replays what the view holds, not the evicted copies.
+	cancel()
+	st.Close()
+	st, err = viewstore.Open(dir, viewstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := map[string]viewstore.Record{}
+	for _, rec := range st.Recovered().Records {
+		replayed[rec.URL] = rec
+	}
+	if _, ok := replayed[gone.URL]; ok || len(replayed) != 3 ||
+		replayed[fresh.URL].Expires != fresh.Expires.UnixMilli() || replayed[moved.URL].Kind != "timer" {
+		t.Errorf("warm boot replayed %+v; want %s, the refreshed %s and the re-kinded %s", replayed, kept.URL, fresh.URL, moved.URL)
+	}
+}
+
+// TestEvictionStopsWhenStorageRefusesAll: records the store has never
+// logged are refused by Spill; the pass must keep them in memory and
+// return instead of retrying the same batch forever.
+func TestEvictionStopsWhenStorageRefusesAll(t *testing.T) {
+	st, err := viewstore.Open(t.TempDir(), viewstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	v := NewServiceView()
+	for i := 0; i < 3; i++ {
+		v.Put(tierRec(i, true))
+	}
+	v.AttachStorage(storeAdapter{st}, 1)
+	done := make(chan int, 1)
+	go func() { done <- v.EnforceBudget(time.Now()) }()
+	select {
+	case n := <-done:
+		if n != 0 || st.SpilledCount() != 0 {
+			t.Fatalf("evicted %d, store spilled %d; want 0 and 0", n, st.SpilledCount())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("EnforceBudget spins on a batch the store refuses")
+	}
+	if _, ok := v.Get(SDPUPnP, tierRec(1, true).URL); !ok {
+		t.Fatal("refused record left memory")
+	}
 }

@@ -18,7 +18,10 @@ import (
 // paths).
 type ViewStorage interface {
 	// Spill durably persists the records before the view drops its
-	// memory copies; an error aborts the eviction of those records.
+	// memory copies; an error aborts the eviction of those records. A
+	// KindScanner may refuse a record whose copy is not the one it
+	// holds (a Put or Remove it applied after the view took the copy),
+	// and then SpilledKind reports it not spilled: the view keeps it.
 	Spill(recs []ServiceRecord) error
 	// Lookup resolves a point-miss against the cold tier.
 	Lookup(origin SDP, url string, now time.Time) (ServiceRecord, bool)
@@ -212,7 +215,8 @@ func (v *ServiceView) evictBucket(ref bucketRef, now time.Time) int {
 		}
 
 		// Drop the spilled copies — unless a concurrent Put refreshed
-		// one, in which case the memory copy is newer and stays.
+		// one, in which case the memory copy is newer and stays, or the
+		// storage refused one.
 		v.keysMu.Lock()
 		sh.mu.Lock()
 		b = sh.kinds[ref.kind]
@@ -227,6 +231,11 @@ func (v *ServiceView) evictBucket(ref bucketRef, now time.Time) int {
 			if !ok || !cur.Expires.Equal(rec.Expires) {
 				continue
 			}
+			if v.kindScan != nil {
+				if _, spilled := v.kindScan.SpilledKind(rec.Origin, rec.URL); !spilled {
+					continue
+				}
+			}
 			v.deleteFromBucket(sh, ref.kind, key)
 			b = sh.kinds[ref.kind] // deleteFromBucket may drop the bucket
 			if v.keys[key] == ref.kind {
@@ -240,6 +249,9 @@ func (v *ServiceView) evictBucket(ref bucketRef, now time.Time) int {
 		total += n
 		sh.mu.Unlock()
 		v.keysMu.Unlock()
+		if n == 0 {
+			return total // nothing moved: the next pass retries
+		}
 	}
 	return total
 }

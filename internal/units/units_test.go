@@ -100,7 +100,15 @@ func TestFigure4EventSequence(t *testing.T) {
 	serviceHost := n.MustAddHost("service", "10.0.0.2")
 
 	clockDevice(t, serviceHost)
-	sys := indissOn(t, serviceHost, core.RoleServiceSide, core.SDPSLP, core.SDPUPnP)
+	// NoCache: once the device's alive has reached the view, the SLP
+	// unit would answer from it and publish no request stream at all.
+	sys, err := core.NewSystem(serviceHost, registry(), core.Config{
+		Role: core.RoleServiceSide, Units: []core.SDP{core.SDPSLP, core.SDPUPnP}, NoCache: true,
+	})
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	t.Cleanup(func() { _ = sys.Close() })
 
 	var mu sync.Mutex
 	var captured []events.Stream

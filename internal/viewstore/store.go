@@ -526,9 +526,13 @@ func (st *Store) RecoveredEpochs() map[string]uint64 { return st.recovered.Epoch
 // the federation Persistence contract.
 func (st *Store) RecoveredGraves() []Grave { return st.recovered.Graves }
 
-// Spill durably persists the given records and marks them disk-only.
-// The caller (the view's eviction pass) drops its memory copies only
-// after Spill returns. Returns the spilled count.
+// Spill marks disk-only each record whose latest logged entry is this
+// very copy (same expiry and kind), and flushes the log so the view may
+// drop its memory copies. A record the keydir holds in another version,
+// or not at all, is left alone: the view copied the batch before a Put
+// or Erase that this store has already applied, or before a Put it has
+// not applied yet, and either way the copy is not what the log holds.
+// Returns the spilled count.
 func (st *Store) Spill(recs []Record) (int, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -539,17 +543,10 @@ func (st *Store) Spill(recs []Record) (int, error) {
 	for i := range recs {
 		rec := &recs[i]
 		key := Key(rec.Origin, rec.URL)
-		st.scratch = AppendRecord(st.scratch[:0], rec)
-		seg, off, size, err := st.appendLocked(st.scratch)
-		if err != nil {
-			return n, err
+		loc, ok := st.index[key]
+		if !ok || loc.expires != rec.Expires || loc.kind != strings.ToLower(rec.Kind) {
+			continue
 		}
-		if old, ok := st.index[key]; ok {
-			st.addGarbage(old.seg, old.size)
-		}
-		st.index[key] = recLoc{seg: seg, off: off, size: size,
-			expires: rec.Expires, originGW: rec.OriginGW,
-			kind: st.internKindLocked(rec.Kind)}
 		st.spilled[key] = struct{}{}
 		st.spillGen.Add(1)
 		delete(st.neg, key)

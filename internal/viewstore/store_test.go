@@ -173,6 +173,9 @@ func TestSpillLookupAndNegativeCache(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, Options{})
 	rec := testRec("soap://10.0.1.2:4004", time.Hour)
+	if err := st.Put(&rec); err != nil { // only a logged record spills
+		t.Fatal(err)
+	}
 	if _, err := st.Spill([]Record{rec}); err != nil {
 		t.Fatal(err)
 	}
@@ -227,6 +230,13 @@ func TestSpillGenerationTracksSpilledSet(t *testing.T) {
 		{"Spill", func() error { _, err := st.Spill([]Record{rec}); return err }, true},
 		{"Put of a spilled record", func() error { return st.Put(&rec) }, true},
 		{"Erase of a resident record", func() error { return st.Erase(rec.Origin, rec.URL) }, false},
+		{"Spill of an erased record", func() error { _, err := st.Spill([]Record{rec}); return err }, false},
+		{"Put of two resident records", func() error {
+			if err := st.Put(&rec); err != nil {
+				return err
+			}
+			return st.Put(&short)
+		}, false},
 		{"Spill again", func() error { _, err := st.Spill([]Record{rec, short}); return err }, true},
 		{"Erase of a spilled record", func() error { return st.Erase(rec.Origin, rec.URL) }, true},
 		{"Maintain dropping an expired spill", func() error { return st.Maintain(time.Now().Add(time.Second)) }, true},
@@ -247,6 +257,37 @@ func TestSpillGenerationTracksSpilledSet(t *testing.T) {
 	}
 	if _, ok := st.SpilledKind(rec.Origin, rec.URL); ok {
 		t.Error("SpilledKind reports an erased record")
+	}
+}
+
+// TestSpillSkipsCopiesTheLogDoesNotHold: Spill marks a record only
+// when the keydir holds that very copy. A copy older than the logged
+// one, or one the log never saw or has erased, stays unmarked, and the
+// keydir keeps serving what it held.
+func TestSpillSkipsCopiesTheLogDoesNotHold(t *testing.T) {
+	st := openStore(t, t.TempDir(), Options{})
+	old := testRec("soap://10.0.1.2:4004", time.Hour)
+	fresh := old
+	fresh.Expires = ms(2 * time.Hour)
+	rekinded := fresh
+	rekinded.Kind = "timer"
+	unknown := testRec("soap://10.0.1.3:4004", time.Hour)
+	if err := st.Put(&fresh); err != nil {
+		t.Fatal(err)
+	}
+	for _, stale := range []Record{old, rekinded, unknown} {
+		if n, err := st.Spill([]Record{stale}); err != nil || n != 0 {
+			t.Fatalf("Spill(%s, kind %s, expires %d) = %d, %v; want 0 spilled", stale.URL, stale.Kind, stale.Expires, n, err)
+		}
+	}
+	if st.SpilledCount() != 0 {
+		t.Fatalf("SpilledCount = %d after refused spills, want 0", st.SpilledCount())
+	}
+	if got, ok := st.Lookup(old.Origin, old.URL, time.Now()); !ok || got.Expires != fresh.Expires {
+		t.Fatalf("Lookup = %+v, %v; want the logged copy", got, ok)
+	}
+	if n, err := st.Spill([]Record{fresh}); err != nil || n != 1 || st.SpilledCount() != 1 {
+		t.Fatalf("Spill of the logged copy = %d, %v (SpilledCount %d); want 1", n, err, st.SpilledCount())
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"indiss/internal/dnssd"
 	"indiss/internal/events"
 	"indiss/internal/httpx"
+	"indiss/internal/netapi"
 	"indiss/internal/query"
 )
 
@@ -162,6 +163,28 @@ func TestHTTPXParseAllocBudget(t *testing.T) {
 	})
 	if allocs > 4 {
 		t.Errorf("ParseResponse allocates %.1f times, budget is 4", allocs)
+	}
+}
+
+// TestDetectionPathAllocFree: the per-datagram work the monitor and the
+// system do before a unit sees a detection — metering its bytes and
+// checking it is not the gateway's own echo — allocates nothing.
+func TestDetectionPathAllocFree(t *testing.T) {
+	meter := core.NewRateMeter(time.Second)
+	now := time.Now()
+	if allocs := testing.AllocsPerRun(1000, func() {
+		now = now.Add(time.Millisecond)
+		meter.Observe(now, 120)
+	}); allocs != 0 {
+		t.Errorf("RateMeter.Observe allocates %.1f times per call, want 0", allocs)
+	}
+	self := core.NewSelfFilter()
+	self.Mark(netapi.Addr{IP: "10.0.0.9", Port: 427})
+	src := netapi.Addr{IP: "10.0.0.1", Port: 40000}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		self.Has(src)
+	}); allocs != 0 {
+		t.Errorf("SelfFilter.Has allocates %.1f times per call, want 0", allocs)
 	}
 }
 
