@@ -117,21 +117,28 @@ func printWarmBoot(sys *indiss.System, dir, label string) {
 		rec.Elapsed.Round(time.Millisecond), rec.DroppedExpired, rec.TruncatedBytes)
 }
 
+// printIngressStats reports the native datagrams the gateway dropped
+// because their source's ingress lane was full.
+func printIngressStats(sys *indiss.System, label string) {
+	fmt.Printf("%singress: dropped=%d\n", label, sys.IngressDropped())
+}
+
 // printGatewaySummary is the per-gateway shutdown report: units, view
-// size, and every plane's counters, each line labelled.
+// size, ingress drops and every plane's counters, each line labelled.
 func printGatewaySummary(sys *indiss.System, labelled bool) {
 	label := gwLabel(sys, labelled)
 	fmt.Printf("%sunits instantiated at run time: %v\n", label, sys.Units())
 	fmt.Printf("%sservices in the gateway's view: %d\n", label, len(sys.View().Find("", time.Now())))
+	printIngressStats(sys, label)
 	printFedStats(sys, label)
 	printQueryStats(sys, label)
 	printStoreStats(sys, label)
 }
 
-// startStatsLoop prints view/federation/store stats for every gateway
-// each interval until the returned stop function is called — in campus
-// mode all gateways report, each line labelled with its gateway ID, so
-// rig logs are attributable. A zero interval disables the loop.
+// startStatsLoop prints view/ingress/federation/store stats for every
+// gateway each interval until the returned stop function is called — in
+// campus mode all gateways report, each line labelled with its gateway
+// ID, so rig logs are attributable. A zero interval disables the loop.
 func startStatsLoop(systems []*indiss.System, interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		return func() {}
@@ -150,6 +157,7 @@ func startStatsLoop(systems []*indiss.System, interval time.Duration) (stop func
 				for _, sys := range systems {
 					label := gwLabel(sys, labelled)
 					fmt.Printf("%sview: %d records\n", label, sys.View().Len())
+					printIngressStats(sys, label)
 					printFedStats(sys, label)
 					printQueryStats(sys, label)
 					printStoreStats(sys, label)

@@ -68,7 +68,10 @@ func TestGatewayCommandSmoke(t *testing.T) {
 		{
 			name: "single-lan",
 			args: []string{"run", "./cmd/indiss-gw", "-duration", "2s"},
-			want: []string{"found service:clock:soap://10.0.0.2:4004"},
+			want: []string{
+				"found service:clock:soap://10.0.0.2:4004",
+				"indiss-gw: ingress: dropped=0",
+			},
 		},
 		{
 			name: "campus",
@@ -83,6 +86,7 @@ func TestGatewayCommandSmoke(t *testing.T) {
 				"[gw1] cold start: no prior view state under",
 				"query plane listening on",
 				"--- stats @",
+				"[gw1] ingress: dropped=",
 				"[gw1] federation: sessions=",
 				"found service:clock:soap://10.0.3.2:4004",
 			},

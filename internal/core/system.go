@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"indiss/internal/events"
@@ -90,8 +91,42 @@ var planeNames = [numPlanes]string{"federation", "query plane"}
 // ErrSystemClosed reports use of a closed system.
 var ErrSystemClosed = errors.New("core: system closed")
 
-// detectionWorkers bounds concurrent native-message translations.
-const detectionWorkers = 64
+// Ingress lanes carry detections from the monitor to the units. Each
+// detection goes to the lane its (SDP, source IP, source port) hashes to:
+// a FIFO drained in arrival order by one long-lived goroutine. So one
+// source's datagrams reach its unit in order, a source whose handler
+// blocks (a UPnP alive's description fetch) or that floods holds up only
+// its own lane, and the monitor's scan loops never wait on a handler.
+const (
+	// ingressLanes is the number of lanes, and so the most native
+	// messages handled at once.
+	ingressLanes = 64
+	// laneDepth bounds a lane's backlog; a detection that finds its lane
+	// full is dropped and counted (IngressDropped). It is the capacity of
+	// a socket's receive queue (udpQueueCap in simnet and realnet), so a
+	// lane holds any burst the monitor's socket could.
+	laneDepth = 256
+	// laneKeep is the largest buffer an idle lane keeps: one that grew
+	// past it for a burst gives the memory back once drained.
+	laneKeep = 64
+)
+
+// ingress is one queued detection and the unit it goes to.
+type ingress struct {
+	unit Unit
+	det  Detection
+}
+
+// lane is one ordered ingress queue. It holds values in a buffer that
+// grows with the backlog, so once the buffer has grown a handoff
+// allocates nothing.
+type lane struct {
+	mu    sync.Mutex
+	queue []ingress // queue[head:] waits, oldest first
+	head  int
+	idle  bool          // the drain goroutine waits on wake
+	wake  chan struct{} // one slot; made when the goroutine starts
+}
 
 // System is a running INDISS instance: monitor + dynamically composed
 // units around an event bus (paper Figure 5).
@@ -117,7 +152,11 @@ type System struct {
 	reAdv     bool
 	planes    [numPlanes]io.Closer
 
-	sem  chan struct{}
+	lanes   [ingressLanes]lane
+	dropped atomic.Uint64
+
+	// stop ends the policy loop and the lane goroutines; wg counts them
+	// and the store pump.
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
@@ -143,7 +182,6 @@ func NewSystem(stack netapi.Stack, registry *Registry, cfg Config) (*System, err
 		self:     NewSelfFilter(),
 		units:    make(map[SDP]Unit),
 		allowed:  make(map[SDP]struct{}, len(allowed)),
-		sem:      make(chan struct{}, detectionWorkers),
 		stop:     make(chan struct{}),
 	}
 	for _, sdp := range allowed {
@@ -165,10 +203,13 @@ func NewSystem(stack netapi.Stack, registry *Registry, cfg Config) (*System, err
 		Handler: s.onDetection,
 	})
 	if err != nil {
+		// A scan loop may have started a lane before the failing port.
+		close(s.stop)
 		if s.store != nil {
-			close(s.stop)
 			s.storeCancel()
-			s.wg.Wait()
+		}
+		s.wg.Wait()
+		if s.store != nil {
 			s.store.Close()
 		}
 		s.bus.Close()
@@ -399,7 +440,8 @@ func (s *System) ensureUnit(sdp SDP) (Unit, error) {
 
 // onDetection routes one raw message from the monitor to the appropriate
 // unit, instantiating it first when running dynamically (Figure 2 steps
-// ①–②).
+// ①–②). It queues the message on its source's lane and returns without
+// waiting for the unit.
 func (s *System) onDetection(det Detection) {
 	if s.self.Has(det.Src) {
 		return // our own emission echoed back by multicast loopback
@@ -408,18 +450,92 @@ func (s *System) onDetection(det Detection) {
 	if err != nil {
 		return // protocol seen but not configured: ignore, per §3
 	}
-	select {
-	case s.sem <- struct{}{}:
-	case <-s.stop:
+	l := &s.lanes[laneOf(&det)]
+	l.mu.Lock()
+	if len(l.queue)-l.head >= laneDepth {
+		l.mu.Unlock()
+		s.dropped.Add(1)
 		return
 	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer func() { <-s.sem }()
-		u.HandleNative(det)
-	}()
+	if len(l.queue) == cap(l.queue) && l.head > 0 {
+		// Reuse the slots already drained before growing the buffer.
+		n := copy(l.queue, l.queue[l.head:])
+		clear(l.queue[n:])
+		l.queue, l.head = l.queue[:n], 0
+	}
+	l.queue = append(l.queue, ingress{unit: u, det: det})
+	start, wake := l.wake == nil, l.idle
+	if start {
+		l.wake = make(chan struct{}, 1)
+	}
+	l.idle = false
+	l.mu.Unlock()
+	if start {
+		s.wg.Add(1)
+		go s.drain(l)
+	} else if wake {
+		select {
+		case l.wake <- struct{}{}:
+		default:
+		}
+	}
 }
+
+// drain is a lane's goroutine: it hands the lane's detections to their
+// units one at a time, oldest first, until the system stops. What is
+// still queued then is discarded.
+func (s *System) drain(l *lane) {
+	defer s.wg.Done()
+	for {
+		l.mu.Lock()
+		if l.head == len(l.queue) {
+			if cap(l.queue) > laneKeep {
+				l.queue = nil
+			} else {
+				l.queue = l.queue[:0]
+			}
+			l.head, l.idle = 0, true
+			l.mu.Unlock()
+			select {
+			case <-l.wake:
+				continue
+			case <-s.stop:
+				return
+			}
+		}
+		in := l.queue[l.head]
+		l.queue[l.head] = ingress{}
+		l.head++
+		l.mu.Unlock()
+		select {
+		case <-s.stop:
+			return
+		default:
+		}
+		in.unit.HandleNative(in.det)
+	}
+}
+
+// laneOf hashes a detection's (SDP, source IP, source port) to its lane
+// with FNV-1a, without allocating.
+func laneOf(det *Detection) int {
+	h := fnv1a(2166136261, string(det.SDP))
+	h = fnv1a(h, det.Src.IP)
+	h = (h ^ uint32(det.Src.Port&0xff)) * 16777619
+	h = (h ^ uint32(det.Src.Port>>8)) * 16777619
+	return int(h % ingressLanes)
+}
+
+func fnv1a(h uint32, s string) uint32 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
+}
+
+// IngressDropped counts the detections dropped because their lane already
+// held laneDepth others.
+func (s *System) IngressDropped() uint64 { return s.dropped.Load() }
 
 // beforePublish makes request translation reliable under dynamic
 // composition: a request stream needs its translation targets subscribed

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"indiss/internal/core"
+	"indiss/internal/dnssd"
 	"indiss/internal/events"
 	"indiss/internal/netapi"
 )
@@ -57,6 +58,14 @@ func isBridgeProduct(s string) bool {
 // pendingTTL is how long a pending foreign request stays answerable.
 const pendingTTL = 10 * time.Second
 
+// maxPendings caps a unit's pending table. A request that would grow the
+// table past it is refused and counted, not published: evicting an older
+// entry instead would need the table kept in age order, and under a flood
+// of unanswerable requests (each lives pendingTTL) the newcomers would
+// evict each other just the same. The cap holds 1600 unanswered requests
+// a second for their whole life.
+const maxPendings = 16384
+
 // pending tracks one foreign request this unit received natively and
 // published on the bus; the first matching response stream composes the
 // native reply. It holds the "state variables" of the per-request
@@ -69,9 +78,18 @@ type pending struct {
 	src netapi.Addr
 	// kind is the canonical service type searched.
 	kind string
-	// native carries protocol-specific reply context (SLP XID, SSDP
-	// search target, …).
-	native map[string]string
+	// id is the request's transaction id: the SLP XID or the DNS
+	// message id.
+	id uint16
+	// lang is the SLP request's language tag.
+	lang string
+	// st is the SSDP search target.
+	st string
+	// qname is the DNS-SD question's name, and known the query's
+	// known-answer records (RFC 6762 §7.1); knownSuppresses picks the
+	// question's PTRs from them.
+	qname string
+	known []dnssd.Record
 	// expires bounds the pending entry's life.
 	expires time.Time
 }
@@ -94,8 +112,15 @@ type base struct {
 	mu       sync.Mutex
 	ctx      *core.UnitContext
 	pendings map[string]*pending
-	readv    bool
-	stopped  bool
+	// sweepAt is the table size at which the next add sweeps out expired
+	// entries: twice what the last sweep left, so sweeping costs O(1)
+	// per add. swept is when that sweep ran.
+	sweepAt int
+	swept   time.Time
+	// refused counts requests turned away at maxPendings.
+	refused uint64
+	readv   bool
+	stopped bool
 
 	wg sync.WaitGroup
 }
@@ -152,18 +177,32 @@ func (b *base) isStopped() bool {
 	return b.stopped
 }
 
-// addPending records a foreign request awaiting translation.
-func (b *base) addPending(p *pending) {
+// addPending records a foreign request awaiting translation. It reports
+// false, and counts the refusal, when the table is full of live entries:
+// the caller then does not publish the request.
+func (b *base) addPending(p pending) bool {
 	now := time.Now()
 	p.expires = now.Add(pendingTTL)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for id, old := range b.pendings {
-		if !old.expires.After(now) {
-			delete(b.pendings, id)
+	n := len(b.pendings)
+	// A table at the cap is swept at most every pendingTTL/16, so a flood
+	// that keeps it full costs one sweep per 625 ms, not one per request.
+	if n >= b.sweepAt || (n >= maxPendings && now.Sub(b.swept) >= pendingTTL/16) {
+		for id, old := range b.pendings {
+			if !old.expires.After(now) {
+				delete(b.pendings, id)
+			}
 		}
+		b.sweepAt = 2 * len(b.pendings)
+		b.swept = now
 	}
-	b.pendings[p.reqID] = p
+	if _, replaces := b.pendings[p.reqID]; !replaces && len(b.pendings) >= maxPendings {
+		b.refused++
+		return false
+	}
+	b.pendings[p.reqID] = &p
+	return true
 }
 
 // takePending claims the pending entry for a response stream. Only the

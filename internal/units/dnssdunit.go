@@ -120,25 +120,18 @@ func (u *DNSSDUnit) parseQuery(msg *dnssd.Message, det core.Detection) {
 		if kind == "" && !meta {
 			continue // not a service-type question
 		}
-		reqID := "dnssd-" + det.Src.String() + "-" + strings.ToLower(q.Name)
-		p := &pending{
-			reqID: reqID,
-			src:   det.Src,
-			kind:  kind,
-			native: map[string]string{
-				"qname": q.Name,
-				"id":    strconv.Itoa(int(msg.ID)),
-			},
-		}
-		recordKnownAnswers(p.native, msg.Answers, q.Name)
+		p := pending{src: det.Src, kind: kind, id: msg.ID, qname: q.Name, known: msg.Answers}
 		if !ctx.NoCache {
 			if recs := ctx.View.FindForeign(core.SDPDNSSD, kind, time.Now()); len(recs) > 0 {
-				u.composeAnswer(p, recs)
+				u.composeAnswer(&p, recs)
 				continue
 			}
 		}
-		u.addPending(p)
-		u.publish(requestStream(core.SDPDNSSD, reqID, det.Src, true, kind))
+		p.reqID = "dnssd-" + det.Src.String() + "-" + strings.ToLower(q.Name)
+		if !u.addPending(p) {
+			continue
+		}
+		u.publish(requestStream(core.SDPDNSSD, p.reqID, det.Src, true, kind))
 	}
 }
 
@@ -287,22 +280,19 @@ func (u *DNSSDUnit) composeFromResponse(s events.Stream) {
 // source port) are answered unicast per RFC 6762 §6.7.
 func (u *DNSSDUnit) composeAnswer(p *pending, recs []core.ServiceRecord) {
 	ctx := u.context()
-	msg := &dnssd.Message{Response: true, Authoritative: true}
-	if id, err := strconv.Atoi(p.native["id"]); err == nil {
-		msg.ID = uint16(id)
-	}
-	meta := strings.EqualFold(p.native["qname"], dnssd.MetaQuery)
+	msg := &dnssd.Message{ID: p.id, Response: true, Authoritative: true}
+	meta := strings.EqualFold(p.qname, dnssd.MetaQuery)
 	// Answer under the question's own name: a "_kind._udp.local." browse
 	// must get PTRs named "_kind._udp.local." or conformant clients
 	// (including this package's Querier) discard the mismatch.
-	qname := dnssd.CanonicalName(p.native["qname"])
+	qname := dnssd.CanonicalName(p.qname)
 	seenTypes := map[string]bool{}
 	for _, rec := range recs {
 		if meta {
 			service := dnssdTypeFromKind(rec.Kind)
 			if service != "" && !seenTypes[service] &&
 				len(msg.Answers) < dnssd.MaxAnswerInstances &&
-				!knownSuppresses(p.native, service, ttlOrDefault(rec.Expires)) {
+				!knownSuppresses(p, service, ttlOrDefault(rec.Expires)) {
 				seenTypes[service] = true
 				msg.Answers = append(msg.Answers, dnssd.Record{
 					Name: dnssd.MetaQuery, Type: dnssd.TypePTR,
@@ -314,7 +304,7 @@ func (u *DNSSDUnit) composeAnswer(p *pending, recs []core.ServiceRecord) {
 		// Known-answer suppression (RFC 6762 §7.1): skip instances the
 		// querier already listed with at least half the remaining TTL.
 		instance := dnssd.InstanceName(bridgedInstanceLabel(rec), qname)
-		if knownSuppresses(p.native, instance, ttlOrDefault(rec.Expires)) {
+		if knownSuppresses(p, instance, ttlOrDefault(rec.Expires)) {
 			continue
 		}
 		u.appendBridgedInstance(msg, qname, rec)
@@ -429,39 +419,18 @@ func (u *DNSSDUnit) announceLoop() {
 	}
 }
 
-// recordKnownAnswers stores a query's known-answer PTR records for one
-// question in the pending entry's string-only native map, one indexed
-// key per record ("known0", "known1", …), value "ttl|target". TTL-first
-// keeps the encoding unambiguous whatever bytes the wire target holds.
-func recordKnownAnswers(native map[string]string, answers []dnssd.Record, qname string) {
-	n := 0
-	for i := range answers {
-		r := &answers[i]
-		if r.Type != dnssd.TypePTR || !strings.EqualFold(r.Name, qname) {
-			continue
-		}
-		native["known"+strconv.Itoa(n)] = strconv.Itoa(int(r.TTL)) + "|" + strings.ToLower(r.Target)
-		n++
-	}
-}
-
 // knownSuppresses applies dnssd.KnownAnswerSuppresses — the one shared
-// §7.1 implementation — to the pending entry's recorded answers.
-func knownSuppresses(native map[string]string, instance string, ttl int) bool {
-	instance = strings.ToLower(instance)
-	for i := 0; ; i++ {
-		pair, ok := native["known"+strconv.Itoa(i)]
-		if !ok {
-			return false
-		}
-		ttlStr, target, ok := strings.Cut(pair, "|")
-		if !ok || target != instance {
-			continue
-		}
-		if n, err := strconv.Atoi(ttlStr); err == nil && dnssd.KnownAnswerSuppresses(n, ttl) {
+// §7.1 implementation — to the known-answer PTRs the pending question's
+// query listed for the instance.
+func knownSuppresses(p *pending, instance string, ttl int) bool {
+	for i := range p.known {
+		r := &p.known[i]
+		if r.Type == dnssd.TypePTR && strings.EqualFold(r.Name, p.qname) &&
+			strings.EqualFold(r.Target, instance) && dnssd.KnownAnswerSuppresses(int(r.TTL), ttl) {
 			return true
 		}
 	}
+	return false
 }
 
 // bridgedInstanceLabel derives a stable, DNS-safe instance label for a

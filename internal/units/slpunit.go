@@ -156,28 +156,21 @@ func (u *SLPUnit) parseSrvRqst(m *slp.SrvRqst, det core.Detection) {
 	}
 	ctx := u.context()
 	kind := kindFromSLPType(m.ServiceType)
-	reqID := "slp-" + det.Src.String() + "-" + strconv.Itoa(int(m.Hdr.XID))
-
-	p := &pending{
-		reqID: reqID,
-		src:   det.Src,
-		kind:  kind,
-		native: map[string]string{
-			"xid":  strconv.Itoa(int(m.Hdr.XID)),
-			"lang": m.Hdr.Lang,
-		},
-	}
+	p := pending{src: det.Src, kind: kind, id: m.Hdr.XID, lang: m.Hdr.Lang}
 
 	// Fast path: answer directly from already-discovered foreign
 	// services (the paper's Figure 9b best case).
 	if !ctx.NoCache {
 		if recs := ctx.View.FindForeign(core.SDPSLP, kind, time.Now()); len(recs) > 0 {
-			u.composeSrvRply(p, recs)
+			u.composeSrvRply(&p, recs)
 			return
 		}
 	}
 
-	u.addPending(p)
+	p.reqID = "slp-" + det.Src.String() + "-" + strconv.Itoa(int(m.Hdr.XID))
+	if !u.addPending(p) {
+		return
+	}
 	extra := []events.Event{
 		events.E(events.ReqVersion, strconv.Itoa(slp.Version)),
 		events.E(events.ReqScope, joinComma(m.Scopes)),
@@ -186,7 +179,7 @@ func (u *SLPUnit) parseSrvRqst(m *slp.SrvRqst, det core.Detection) {
 	if m.Predicate != "" {
 		extra = append(extra, events.E(events.ReqPredicate, m.Predicate))
 	}
-	u.publish(requestStream(core.SDPSLP, reqID, det.Src, m.Hdr.Multicast(), kind, extra...))
+	u.publish(requestStream(core.SDPSLP, p.reqID, det.Src, m.Hdr.Multicast(), kind, extra...))
 }
 
 // parseSAAdvert feeds passively heard service announcements into the view
@@ -362,9 +355,8 @@ func (u *SLPUnit) composeFromResponse(s events.Stream) {
 // service:clock:soap://…;friendlyName:…").
 func (u *SLPUnit) composeSrvRply(p *pending, recs []core.ServiceRecord) {
 	ctx := u.context()
-	xid := xidFromString(p.native["xid"])
 	rply := &slp.SrvRply{
-		Hdr: slp.Header{XID: xid, Lang: p.native["lang"]},
+		Hdr: slp.Header{XID: p.id, Lang: p.lang},
 	}
 	for _, rec := range recs {
 		rply.URLs = append(rply.URLs, slp.URLEntry{
@@ -491,14 +483,6 @@ func xidFrom(reqID string) uint16 {
 		x = 1
 	}
 	return x
-}
-
-func xidFromString(s string) uint16 {
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 || n > 0xFFFF {
-		return 0
-	}
-	return uint16(n)
 }
 
 func clampLifetime(expires time.Time) uint16 {

@@ -1,6 +1,7 @@
 package units
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -611,7 +612,7 @@ func TestStreamHelpers(t *testing.T) {
 
 func TestPendingFirstResponseWins(t *testing.T) {
 	b := newBase("test", core.SDPSLP)
-	b.addPending(&pending{reqID: "r1", kind: "clock"})
+	b.addPending(pending{reqID: "r1", kind: "clock"})
 	if _, ok := b.takePending("r1"); !ok {
 		t.Fatal("first take failed")
 	}
@@ -620,5 +621,53 @@ func TestPendingFirstResponseWins(t *testing.T) {
 	}
 	if _, ok := b.takePending("never"); ok {
 		t.Fatal("unknown id taken")
+	}
+}
+
+// TestPendingTableCapped: a flood of requests nobody answers fills a
+// unit's pending table to maxPendings and no further; each request
+// beyond it is refused and counted.
+func TestPendingTableCapped(t *testing.T) {
+	b := newBase("test", core.SDPSLP)
+	for i := 0; i <= maxPendings; i++ {
+		ok := b.addPending(pending{reqID: "r" + strconv.Itoa(i), kind: "clock"})
+		if ok != (i < maxPendings) {
+			t.Fatalf("add %d reported %v at %d entries", i, ok, len(b.pendings))
+		}
+	}
+	if got := len(b.pendings); got > maxPendings {
+		t.Errorf("pending table holds %d entries, want at most %d", got, maxPendings)
+	}
+	if b.refused != 1 {
+		t.Errorf("refused = %d, want 1", b.refused)
+	}
+	// A live entry still answers, and a repeat of a pending request
+	// replaces its entry rather than being refused.
+	if !b.addPending(pending{reqID: "r7", kind: "clock"}) {
+		t.Error("re-adding a pending request was refused")
+	}
+	if _, ok := b.takePending("r7"); !ok {
+		t.Error("a pending request of a full table cannot be taken")
+	}
+}
+
+// BenchmarkAddPendingUnanswered adds and takes one request while 10k
+// unanswered ones wait: the cost every bridged request pays during a
+// flood of requests no unit can answer.
+func BenchmarkAddPendingUnanswered(b *testing.B) {
+	u := newBase("bench", core.SDPSLP)
+	for i := 0; i < 10000; i++ {
+		u.addPending(pending{reqID: "flood-" + strconv.Itoa(i), kind: "clock"})
+	}
+	ids := make([]string, 1024)
+	for i := range ids {
+		ids[i] = "req-" + strconv.Itoa(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := ids[i%len(ids)]
+		u.addPending(pending{reqID: id, kind: "clock"})
+		u.takePending(id)
 	}
 }

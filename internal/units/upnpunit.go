@@ -173,23 +173,20 @@ func (u *UPnPUnit) parseSearch(m *ssdp.SearchRequest, det core.Detection) {
 	}
 	ctx := u.context()
 	kind := kindFromUPnPTarget(m.ST)
-	reqID := "ssdp-" + det.Src.String() + "-" + m.ST
-	p := &pending{
-		reqID:  reqID,
-		src:    det.Src,
-		kind:   kind,
-		native: map[string]string{"st": m.ST},
-	}
+	p := pending{src: det.Src, kind: kind, st: m.ST}
 	if !ctx.NoCache {
 		if recs := ctx.View.FindForeign(core.SDPUPnP, kind, time.Now()); len(recs) > 0 {
 			for _, rec := range recs {
-				u.composeSearchResponse(p, rec)
+				u.composeSearchResponse(&p, rec)
 			}
 			return
 		}
 	}
-	u.addPending(p)
-	u.publish(requestStream(core.SDPUPnP, reqID, det.Src, true, kind,
+	p.reqID = "ssdp-" + det.Src.String() + "-" + m.ST
+	if !u.addPending(p) {
+		return
+	}
+	u.publish(requestStream(core.SDPUPnP, p.reqID, det.Src, true, kind,
 		events.E(events.SearchMX, strconv.Itoa(m.MX)),
 	))
 }
@@ -480,7 +477,7 @@ func (u *UPnPUnit) composeFromResponse(s events.Stream) {
 func (u *UPnPUnit) composeSearchResponse(p *pending, rec core.ServiceRecord) {
 	ctx := u.context()
 	location, usn := u.bridgeDevice(rec)
-	st := p.native["st"]
+	st := p.st
 	if st == "" || st == ssdp.TargetAll {
 		st = upnpTargetFromKind(rec.Kind)
 	}
