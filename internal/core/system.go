@@ -517,20 +517,11 @@ func (s *System) drain(l *lane) {
 }
 
 // laneOf hashes a detection's (SDP, source IP, source port) to its lane
-// with FNV-1a, without allocating.
+// with the view's FNV-1a kindHash, without allocating.
 func laneOf(det *Detection) int {
-	h := fnv1a(2166136261, string(det.SDP))
-	h = fnv1a(h, det.Src.IP)
-	h = (h ^ uint32(det.Src.Port&0xff)) * 16777619
-	h = (h ^ uint32(det.Src.Port>>8)) * 16777619
-	return int(h % ingressLanes)
-}
-
-func fnv1a(h uint32, s string) uint32 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
-	}
-	return h
+	h := (kindHash(string(det.SDP))*16777619 ^ kindHash(det.Src.IP)) * 16777619
+	h = (h ^ uint32(det.Src.Port)) * 16777619
+	return int((h ^ h>>16) % ingressLanes)
 }
 
 // IngressDropped counts the detections dropped because their lane already

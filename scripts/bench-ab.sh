@@ -13,13 +13,15 @@
 #
 # For every run it prints the exit code, the four end-to-end metrics,
 # proc.cpu_us_per_lookup, loadgen.late_p90_us (printed before the
-# validity guard refuses a run) and the run's share of VM steal time,
-# read from /proc/stat before and after the run. A pair in which either
-# run exited non-zero or read more than 5% steal is run again, at most
-# three times in all; replaced runs stay in the output, marked. It ends
-# with each side's median and q1-q3 of every metric over the kept pairs
-# (nearest rank, as the benchmark's own percentiles), and the number of
-# pairs in which HEAD was better.
+# validity guard refuses a run), churn_resurrected (campus-churn only),
+# the failed operations of the result line and the run's share of VM
+# steal time, read from /proc/stat before and after the run. A pair in
+# which either run exited non-zero or read more than 5% steal is run
+# again, at most three times in all; replaced runs stay in the output,
+# marked. It ends with each side's median and q1-q3 of every metric over
+# the kept pairs (nearest rank, as the benchmark's own percentiles), the
+# number of pairs in which HEAD was better, and each side's failed
+# operations.
 set -euo pipefail
 
 if [ "$#" -ne 4 ]; then
@@ -34,9 +36,9 @@ change_sha="$(git rev-parse --verify "HEAD^{commit}")"
 seconds=20
 max_steal=5
 attempts=3
-metrics="setup_s lookup_p50_us lookup_max_qps heap_live_mb proc.cpu_us_per_lookup loadgen.late_p90_us"
+metrics="setup_s lookup_p50_us lookup_max_qps heap_live_mb proc.cpu_us_per_lookup loadgen.late_p90_us churn_resurrected"
 # Direction per metric, in the order above: which way is better.
-better="lower lower higher lower lower lower"
+better="lower lower higher lower lower lower lower"
 
 tmp="$(mktemp -d "${TMPDIR:-/tmp}/bench-ab.XXXXXX")"
 cleanup() { chmod -R u+w "$tmp" 2>/dev/null || true; rm -rf "$tmp"; }
@@ -62,8 +64,9 @@ cpu_times() {
 	awk '$1 == "cpu" { t = 0; for (i = 2; i <= 9; i++) t += $i; print $9, t; exit }' /proc/stat
 }
 
-# run_one runs one side once and prints one tab-separated row:
-# exit code, each of $metrics (or "-" where the run printed none), steal %.
+# run_one runs one side once and prints one tab-separated row: exit code,
+# each of $metrics (or "-" where the run printed none), failed operations
+# ("-" without a result line), steal %.
 run_one() {
 	local side="$1" seed="$2" out="$tmp/$1.out" rc=0 s0 t0 s1 t1
 	read -r s0 t0 < <(cpu_times)
@@ -75,7 +78,9 @@ run_one() {
 		v="$(awk -v w="$workload" -v m="$m" '$1 == w && $2 == m { v = $3 } END { print (v == "" ? "-" : v) }' "$out")"
 		row="$row"$'\t'"$v"
 	done
-	row="$row"$'\t'"$(awk -v s="$((s1 - s0))" -v t="$((t1 - t0))" 'BEGIN { printf "%.1f", t > 0 ? 100 * s / t : 0 }')"
+	v="$(sed -n 's/^{"correct":[a-z]*,"attempted":[0-9]*,"failed":\([0-9]*\).*/\1/p' "$out")"
+	row="$row"$'\t'"${v:--}"
+	row="$row"$'\t'"$(awk -v s="$((s1 - s0))" -v t="$((t1 - t0))" 'BEGIN { printf "%.1f", (t > 0 ? 100 * s / t : 0) }')"
 	printf '%s\n' "$row"
 }
 
@@ -86,7 +91,7 @@ kept="$tmp/kept.tsv"
 : >"$kept"
 printf 'bench-ab: %s, %d pairs from seed %d, %d s per run; parent %s, change %s\n' \
 	"$workload" "$pairs" "$first_seed" "$seconds" "$parent_sha" "$change_sha"
-printf 'pair\tseed\tfirst\tside\texit\t%s\tsteal_pct\tkept\n' "$(echo $metrics | tr ' ' '\t')"
+printf 'pair\tseed\tfirst\tside\texit\t%s\tfailed\tsteal_pct\tkept\n' "$(echo $metrics | tr ' ' '\t')"
 for ((i = 0; i < pairs; i++)); do
 	seed=$((first_seed + i))
 	order="parent change"
@@ -157,3 +162,4 @@ for m in $metrics; do
 	printf '%s\t%s\t%s [%s-%s]\t%s [%s-%s]\t%s\t%s\n' "$m" "$dir" "$pmed" "$pq1" "$pq3" "$cmed" "$cq1" "$cq3" "$ratio" "$wins"
 	col=$((col + 1))
 done
+awk -F'\t' -v c="$col" '$c != "-" { f[$2] += $c } END { printf "failed operations in kept runs: parent %d, change %d\n", f["parent"], f["change"] }' "$kept"
