@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# A/B driver for the benchmark: runs alternating pairs of one
-# cmd/indiss-bench workload on a parent revision and on HEAD, and
-# summarises them.
+# A/B runs of the benchmark: alternating pairs of one cmd/indiss-bench
+# workload on a parent revision and on HEAD, then a summary.
 #
 #   scripts/bench-ab.sh <parent-rev> <workload> <pairs> <first-seed>
 #
