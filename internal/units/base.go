@@ -267,6 +267,97 @@ func (b *base) spawn(fn func()) bool {
 // wait blocks until all spawned work drains.
 func (b *base) wait() { b.wg.Wait() }
 
+// replies routes the answers arriving on a unit's socket to the native
+// follow-up queries waiting for them (paper Figure 4 step ②): the SLP
+// unit keys SrvRplys by XID, the UPnP unit keys SSDP search responses by
+// search target. The unit's one reader goroutine calls deliver; a query
+// calls await before it sends its request, so no answer can arrive
+// unclaimed, and done once it has its answer or has given up.
+type replies[K comparable, M any] struct {
+	mu      sync.Mutex
+	waiting map[K][]*waiter[M] // per key, longest-waiting first
+	free    sync.Pool          // of *waiter[M]
+}
+
+// waiter is one query's place in a replies router: the one-slot channel
+// its answer arrives on and the timer bounding its wait. Waiters are
+// recycled, so a query makes neither a channel nor a timer.
+type waiter[M any] struct {
+	c chan M
+	t *time.Timer
+}
+
+// await queues a query on key k.
+func (r *replies[K, M]) await(k K) *waiter[M] {
+	w, _ := r.free.Get().(*waiter[M])
+	if w == nil {
+		w = &waiter[M]{c: make(chan M, 1), t: time.NewTimer(queryTimeout)}
+		w.t.Stop()
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.waiting == nil {
+		r.waiting = make(map[K][]*waiter[M])
+	}
+	r.waiting[k] = append(r.waiting[k], w)
+	return w
+}
+
+// deliver hands m to the longest-waiting query on k and unqueues that
+// query in the same step, so a query gets at most one answer and no
+// answer goes to a query that has stopped reading. It reports false,
+// dropping m, when no query waits on k.
+func (r *replies[K, M]) deliver(k K, m M) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	q := r.waiting[k]
+	if len(q) == 0 {
+		return false
+	}
+	q[0].c <- m // never blocks: a queued waiter's slot is empty
+	r.unqueueLocked(k, q, 0)
+	return true
+}
+
+// done unqueues w if no answer reached it, discards an answer that
+// arrived after its query stopped waiting, and recycles w.
+func (r *replies[K, M]) done(k K, w *waiter[M]) {
+	r.mu.Lock()
+	q := r.waiting[k]
+	if i := slices.Index(q, w); i >= 0 {
+		r.unqueueLocked(k, q, i)
+	}
+	r.mu.Unlock()
+	select {
+	case <-w.c:
+	default:
+	}
+	r.free.Put(w)
+}
+
+func (r *replies[K, M]) unqueueLocked(k K, q []*waiter[M], i int) {
+	if len(q) == 1 {
+		delete(r.waiting, k)
+		return
+	}
+	r.waiting[k] = slices.Delete(q, i, i+1)
+}
+
+// wait returns w's answer, or false once queryTimeout has passed or stop
+// has closed: a stopping unit does not wait out its queries.
+func (w *waiter[M]) wait(stop <-chan struct{}) (M, bool) {
+	w.t.Reset(queryTimeout)
+	defer w.t.Stop()
+	select {
+	case m := <-w.c:
+		return m, true
+	case <-w.t.C:
+	case <-stop:
+	}
+	var zero M
+	return zero, false
+}
+
 // OnEvents implements core.Unit for every unit: streams from peer units
 // arrive here (paper Figure 3, right to left) and are routed to the
 // composer halves bound at construction. The pooled-envelope ownership
@@ -468,8 +559,8 @@ func recordID(origin core.SDP, url string) [16]byte {
 	return md5.Sum([]byte(string(origin) + "|" + url))
 }
 
-// fnv32a is the 32-bit FNV-1a hash the units derive stable ids from
-// (SLP XIDs, DNS-SD bridge labels).
+// fnv32a is the 32-bit FNV-1a hash the DNS-SD unit derives stable bridge
+// labels from.
 func fnv32a(s string) uint32 {
 	var h uint32 = 2166136261
 	for i := 0; i < len(s); i++ {

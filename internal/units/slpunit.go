@@ -3,6 +3,7 @@ package units
 import (
 	"fmt"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"indiss/internal/core"
@@ -25,8 +26,13 @@ type SLPUnit struct {
 	*base
 	cfg SLPUnitConfig
 
-	conn netapi.PacketConn // emitting socket, marked self
-	stop chan struct{}
+	// conn is the unit's one socket, marked self: it answers native
+	// requesters and sends the unit's native queries, whose SrvRplys its
+	// reader routes by XID through replies.
+	conn    netapi.PacketConn
+	replies replies[uint16, *slp.SrvRply]
+	xid     atomic.Uint32
+	stop    chan struct{}
 }
 
 // interface compliance
@@ -53,6 +59,7 @@ func (u *SLPUnit) Start(ctx *core.UnitContext) error {
 	ctx.Self.Mark(conn.LocalAddr())
 	u.conn = conn
 	u.attach(ctx)
+	u.spawn(u.readReplies)
 	ctx.Bus.Subscribe(u.name, events.ListenerFunc(u.OnEvents))
 	u.spawn(u.announceLoop)
 	return nil
@@ -266,29 +273,20 @@ func (u *SLPUnit) composeOther(s events.Stream) {
 }
 
 // queryNative acts as an SLP client on behalf of a foreign requester: it
-// multicasts a SrvRqst and publishes the first answer as a response
-// stream — the left-to-right half of paper Figure 3. Each query uses its
-// own socket so concurrent translations never steal each other's replies.
+// multicasts a SrvRqst from the unit's socket and publishes the first
+// answer the reader routes back by XID as a response stream — the
+// left-to-right half of paper Figure 3.
 func (u *SLPUnit) queryNative(s events.Stream) {
 	ctx := u.context()
 	reqID := s.FirstData(events.ReqID)
 	kind := s.FirstData(events.ServiceType)
 
-	conn, err := ctx.Stack.ListenUDP(0)
-	if err != nil {
-		return
-	}
-	ctx.Self.Mark(conn.LocalAddr())
-	defer func() {
-		conn.Close()
-		ctx.Self.Unmark(conn.LocalAddr())
-	}()
-
+	xid := u.nextXID()
 	// The extra scope marks the query as bridge-composed; native SAs
 	// match scopes by intersection and never see it, while a peer
 	// bridge's unit recognizes it and stays silent.
 	req := &slp.SrvRqst{
-		Hdr:         slp.Header{XID: xidFrom(reqID), Flags: slp.FlagRequestMcast, Lang: slp.DefaultLang},
+		Hdr:         slp.Header{XID: xid, Flags: slp.FlagRequestMcast, Lang: slp.DefaultLang},
 		ServiceType: slpTypeFromKind(kind),
 		Scopes:      append(append([]string(nil), u.scopes()...), slpBridgeScope),
 	}
@@ -296,17 +294,40 @@ func (u *SLPUnit) queryNative(s events.Stream) {
 	if err != nil {
 		return
 	}
+	w := u.replies.await(xid)
+	defer u.replies.done(xid, w)
 	ctx.Profile.Delay()
-	if err := conn.WriteTo(data, netapi.Addr{IP: slp.MulticastGroup, Port: slp.Port}); err != nil {
+	if err := u.conn.WriteTo(data, netapi.Addr{IP: slp.MulticastGroup, Port: slp.Port}); err != nil {
 		return
 	}
-	deadline := time.Now().Add(queryTimeout)
-	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return // silence is the negative answer
+	rply, ok := w.wait(u.stop)
+	if !ok {
+		return // silence is the negative answer
+	}
+	ctx.Profile.Delay()
+	for _, entry := range rply.URLs {
+		rec := core.ServiceRecord{
+			Origin:  core.SDPSLP,
+			Kind:    kind,
+			URL:     entry.URL,
+			Attrs:   map[string]string{},
+			Expires: time.Now().Add(time.Duration(entry.Lifetime) * time.Second),
 		}
-		dg, err := conn.Recv(remaining)
+		if rec.Kind == "" {
+			rec.Kind = kindFromSLPType(entry.URL)
+		}
+		ctx.View.Put(rec)
+		u.publish(responseStream(core.SDPSLP, reqID, rec))
+	}
+}
+
+// readReplies hands each SrvRply that arrives on the unit's socket to the
+// query awaiting its XID, until Stop closes the socket. Only an answer
+// naming at least one URL counts; anything else, and a reply nobody
+// awaits (late, duplicate, stray), is dropped.
+func (u *SLPUnit) readReplies() {
+	for {
+		dg, err := u.conn.Recv(0)
 		if err != nil {
 			return
 		}
@@ -314,26 +335,20 @@ func (u *SLPUnit) queryNative(s events.Stream) {
 		if err != nil {
 			continue
 		}
-		rply, ok := msg.(*slp.SrvRply)
-		if !ok || rply.Hdr.XID != req.Hdr.XID || rply.Error != slp.ErrNone || len(rply.URLs) == 0 {
-			continue
+		if rply, ok := msg.(*slp.SrvRply); ok && rply.Error == slp.ErrNone && len(rply.URLs) > 0 {
+			u.replies.deliver(rply.Hdr.XID, rply)
 		}
-		ctx.Profile.Delay()
-		for _, entry := range rply.URLs {
-			rec := core.ServiceRecord{
-				Origin:  core.SDPSLP,
-				Kind:    kind,
-				URL:     entry.URL,
-				Attrs:   map[string]string{},
-				Expires: time.Now().Add(time.Duration(entry.Lifetime) * time.Second),
-			}
-			if rec.Kind == "" {
-				rec.Kind = kindFromSLPType(entry.URL)
-			}
-			ctx.View.Put(rec)
-			u.publish(responseStream(core.SDPSLP, reqID, rec))
+	}
+}
+
+// nextXID numbers the unit's native queries, skipping 0. Queries in
+// flight at once hold distinct XIDs, which is what lets the reader route
+// every SrvRply to its own query.
+func (u *SLPUnit) nextXID() uint16 {
+	for {
+		if x := uint16(u.xid.Add(1)); x != 0 {
+			return x
 		}
-		return
 	}
 }
 
@@ -474,15 +489,6 @@ func joinComma(list []string) string {
 		out += s
 	}
 	return out
-}
-
-// xidFrom derives a stable SLP XID from a request id string.
-func xidFrom(reqID string) uint16 {
-	x := uint16(fnv32a(reqID))
-	if x == 0 {
-		x = 1
-	}
-	return x
 }
 
 func clampLifetime(expires time.Time) uint16 {

@@ -35,7 +35,11 @@ type UPnPUnit struct {
 	*base
 	cfg UPnPUnitConfig
 
+	// conn is the unit's one socket, marked self: it answers native
+	// searchers, sends NOTIFYs and the unit's native M-SEARCHes, whose
+	// answers its reader routes by search target through replies.
 	conn     netapi.PacketConn
+	replies  replies[string, *ssdp.SearchResponse]
 	descSrv  *httpx.Server
 	descAddr netapi.Addr
 	queryFSM *fsm.Machine
@@ -121,6 +125,7 @@ func (u *UPnPUnit) Start(ctx *core.UnitContext) error {
 	u.attach(ctx) // before serving: descriptions render from ctx.View
 	u.descSrv = &httpx.Server{Handler: u.serveDescription}
 	u.descSrv.Start(l)
+	u.spawn(u.readReplies)
 
 	ctx.Bus.Subscribe(u.name, events.ListenerFunc(u.OnEvents))
 	u.spawn(u.announceLoop)
@@ -269,23 +274,14 @@ func (u *UPnPUnit) composeOther(s events.Stream) {
 }
 
 // queryNative runs the paper's §2.4 choreography on behalf of a foreign
-// requester: compose an M-SEARCH, parse the answer, and — because "the
+// requester: compose an M-SEARCH, send it from the unit's socket, parse
+// the answer the reader routes back by search target, and — because "the
 // UPnP unit did not get the location of the remote service" — fetch and
 // XML-parse the description document until SDP_RES_SERV_URL is produced.
 func (u *UPnPUnit) queryNative(s events.Stream) {
 	ctx := u.context()
 	reqID := s.FirstData(events.ReqID)
 	kind := s.FirstData(events.ServiceType)
-
-	conn, err := ctx.Stack.ListenUDP(0)
-	if err != nil {
-		return
-	}
-	ctx.Self.Mark(conn.LocalAddr())
-	defer func() {
-		conn.Close()
-		ctx.Self.Unmark(conn.LocalAddr())
-	}()
 
 	// Compose the M-SEARCH of Figure 4 step ① — tagged as
 	// bridge-composed so a peer gateway's unit does not translate it.
@@ -294,20 +290,20 @@ func (u *UPnPUnit) queryNative(s events.Stream) {
 		ST:        upnpTargetFromKind(kind),
 		UserAgent: "indiss-bridge/1.0",
 	}
+	w := u.replies.await(search.ST)
+	defer u.replies.done(search.ST, w)
 	ctx.Profile.Delay()
-	if err := conn.WriteTo(search.Marshal(), netapi.Addr{IP: ssdp.MulticastGroup, Port: ssdp.Port}); err != nil {
+	if err := u.conn.WriteTo(search.Marshal(), netapi.Addr{IP: ssdp.MulticastGroup, Port: ssdp.Port}); err != nil {
 		return
 	}
+	resp, ok := w.wait(u.stop)
+	if !ok {
+		return
+	}
+	ctx.Profile.Delay()
 
 	inst := u.queryFSM.NewInstance()
 	inst.SetVar("kind", kind)
-
-	deadline := time.Now().Add(queryTimeout)
-	resp := u.awaitSearchResponse(conn, deadline)
-	if resp == nil {
-		return
-	}
-	ctx.Profile.Delay()
 
 	// Parse the search answer into events (Figure 4 step ②) and drive
 	// the DFA.
@@ -365,27 +361,24 @@ func orDefault(s, def string) string {
 	return s
 }
 
-// awaitSearchResponse waits for the first SSDP 200 OK on the query
-// socket.
-func (u *UPnPUnit) awaitSearchResponse(conn netapi.PacketConn, deadline time.Time) *ssdp.SearchResponse {
+// readReplies hands each SSDP search response that arrives on the unit's
+// socket to the query awaiting its search target, until Stop closes the
+// socket. Queries waiting on one target are answered in the order they
+// asked: SSDP carries no transaction id, and any native answer for the
+// target serves any of them. A peer bridge's answer is not native
+// knowledge; it, and a response nobody awaits, is dropped.
+func (u *UPnPUnit) readReplies() {
 	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return nil
-		}
-		dg, err := conn.Recv(remaining)
+		dg, err := u.conn.Recv(0)
 		if err != nil {
-			return nil
+			return
 		}
 		msg, err := ssdp.Parse(dg.Payload)
 		if err != nil {
 			continue
 		}
-		if resp, ok := msg.(*ssdp.SearchResponse); ok {
-			if isBridgeProduct(resp.Server) {
-				continue // a peer bridge answered: not native knowledge
-			}
-			return resp
+		if resp, ok := msg.(*ssdp.SearchResponse); ok && !isBridgeProduct(resp.Server) {
+			u.replies.deliver(resp.ST, resp)
 		}
 	}
 }

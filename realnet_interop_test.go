@@ -1,6 +1,7 @@
 package indiss_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -80,4 +81,52 @@ func TestRealLoopbackInterop(t *testing.T) {
 		t.Fatal("FindFirst returned no URLs")
 	}
 	t.Logf("SLP client discovered the UPnP clock at %s over real sockets", urls[0].URL)
+}
+
+// TestRealLoopbackInteropNoCache drives the cold bridged path over live
+// sockets: a NoCache SLP+UPnP gateway on a realnet loopback stack answers
+// every SLP lookup with a fresh M-SEARCH from its UPnP unit's socket, the
+// native clock's answer routed back by search target, and a description
+// fetch, so each of the 50 lookups crosses the bridge.
+func TestRealLoopbackInteropNoCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipped in -short: binds live loopback sockets and joins real multicast groups")
+	}
+	gatewayStack := realLoopbackStack(t, "real-gateway")
+	deviceStack := realLoopbackStack(t, "real-device")
+	clientStack := realLoopbackStack(t, "real-client")
+	requireRealMulticast(t, gatewayStack)
+
+	gateway, err := indiss.Deploy(gatewayStack, indiss.Config{
+		Role:    indiss.RoleGateway,
+		SDPs:    []indiss.SDP{indiss.SLP, indiss.UPnP},
+		NoCache: true,
+	})
+	if err != nil {
+		t.Fatalf("Deploy gateway: %v", err)
+	}
+	defer gateway.Close()
+	dev, err := upnp.NewRootDevice(deviceStack, upnp.DeviceConfig{
+		Kind:         "clock",
+		FriendlyName: "Real Loopback Clock",
+		Services:     []upnp.ServiceConfig{{Kind: "timer"}},
+	})
+	if err != nil {
+		t.Fatalf("NewRootDevice: %v", err)
+	}
+	defer dev.Close()
+
+	ua := slp.NewUserAgent(clientStack, slp.AgentConfig{})
+	const lookups = 50
+	start := time.Now()
+	for i := 0; i < lookups; i++ {
+		urls, err := ua.FindFirst("service:clock", "", 8*time.Second)
+		if err != nil {
+			t.Fatalf("lookup %d: SLP client found no clock through the live bridge: %v", i, err)
+		}
+		if len(urls) == 0 || !strings.HasPrefix(urls[0].URL, "service:clock:soap://") {
+			t.Fatalf("lookup %d: got %v, want the clock's SOAP endpoint", i, urls)
+		}
+	}
+	t.Logf("%d cold bridged lookups over real sockets took %v", lookups, time.Since(start))
 }

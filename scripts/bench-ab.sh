@@ -14,13 +14,16 @@
 # proc.cpu_us_per_lookup, loadgen.late_p90_us (printed before the
 # validity guard refuses a run), churn_resurrected (campus-churn only),
 # the failed operations of the result line and the run's share of VM
-# steal time, read from /proc/stat before and after the run. A pair in
-# which either run exited non-zero or read more than 5% steal is run
-# again, at most three times in all; replaced runs stay in the output,
-# marked. It ends with each side's median and q1-q3 of every metric over
-# the kept pairs (nearest rank, as the benchmark's own percentiles), the
-# number of pairs in which HEAD was better, and each side's failed
-# operations.
+# steal time, read from /proc/stat before and after the run. After a
+# pair's rows it prints, as lines starting with "#", the stderr of each
+# run that exited non-zero or reported failed operations: the reason the
+# benchmark gave for refusing the run, or the failing lookups' errors. A
+# pair in which either run exited non-zero or read more than 5% steal is
+# run again, at most three times in all; replaced runs stay in the
+# output, marked. It ends with each side's median and q1-q3 of every
+# metric over the kept pairs (nearest rank, as the benchmark's own
+# percentiles), the number of pairs in which HEAD was better, and each
+# side's failed operations.
 set -euo pipefail
 
 if [ "$#" -ne 4 ]; then
@@ -65,7 +68,8 @@ cpu_times() {
 
 # run_one runs one side once and prints one tab-separated row: exit code,
 # each of $metrics (or "-" where the run printed none), failed operations
-# ("-" without a result line), steal %.
+# ("-" without a result line), steal %. A run that exited non-zero or
+# reported failed operations leaves its stderr in $tmp/<side>.why.
 run_one() {
 	local side="$1" seed="$2" out="$tmp/$1.out" rc=0 s0 t0 s1 t1
 	read -r s0 t0 < <(cpu_times)
@@ -79,6 +83,11 @@ run_one() {
 	done
 	v="$(sed -n 's/^{"correct":[a-z]*,"attempted":[0-9]*,"failed":\([0-9]*\).*/\1/p' "$out")"
 	row="$row"$'\t'"${v:--}"
+	if [ "$rc" != 0 ] || [ "${v:-0}" -gt 0 ]; then
+		cp "$tmp/$side.err" "$tmp/$side.why"
+	else
+		rm -f "$tmp/$side.why"
+	fi
 	row="$row"$'\t'"$(awk -v s="$((s1 - s0))" -v t="$((t1 - t0))" 'BEGIN { printf "%.1f", (t > 0 ? 100 * s / t : 0) }')"
 	printf '%s\n' "$row"
 }
@@ -122,6 +131,13 @@ for ((i = 0; i < pairs; i++)); do
 			printf '%d\t%d\t%s\t%s\t%s\t%s\n' "$i" "$seed" "$first" "$side" "${rows[$side]}" "$keep"
 			if [ "$keep" = yes ]; then
 				printf '%d\t%s\t%s\n' "$i" "$side" "${rows[$side]}" >>"$kept"
+			fi
+		done
+		for side in parent change; do
+			if [ -f "$tmp/$side.why" ]; then
+				printf '# pair %d, %s, stderr:%s\n' "$i" "$side" "$([ -s "$tmp/$side.why" ] || echo ' (empty)')"
+				sed 's/^/#   /' "$tmp/$side.why"
+				rm -f "$tmp/$side.why"
 			fi
 		done
 		unset rows
