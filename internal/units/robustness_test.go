@@ -254,8 +254,8 @@ func TestByeByeWithdrawsBridgedService(t *testing.T) {
 	}
 }
 
-// TestConcurrentBridgedSearches exercises the pending table and per-query
-// sockets under concurrency.
+// TestConcurrentBridgedSearches exercises the pending table and the
+// units' reply routing under concurrency.
 func TestConcurrentBridgedSearches(t *testing.T) {
 	n := newNet(t)
 	serviceHost := n.MustAddHost("service", "10.0.0.2")
