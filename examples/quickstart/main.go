@@ -40,14 +40,7 @@ func run() error {
 		FriendlyName: "CyberGarage Clock Device",
 		Manufacturer: "CyberGarage",
 		ModelName:    "Clock",
-		Services: []upnp.ServiceConfig{{
-			Kind: "timer",
-			Actions: map[string]upnp.ActionHandler{
-				"GetTime": func(*upnp.Action) ([]upnp.Arg, error) {
-					return []upnp.Arg{{Name: "CurrentTime", Value: time.Now().Format("15:04:05")}}, nil
-				},
-			},
-		}},
+		Services:     []upnp.ServiceConfig{{Kind: "timer"}},
 	})
 	if err != nil {
 		return err

@@ -25,11 +25,6 @@ func (a Addr) IsMulticast() bool {
 	return IsMulticastIP(a.IP)
 }
 
-// IsZero reports whether the address is the zero value.
-func (a Addr) IsZero() bool {
-	return a.IP == "" && a.Port == 0
-}
-
 // IsMulticastIP reports whether ip falls in the IPv4 multicast range
 // 224.0.0.0–239.255.255.255.
 func IsMulticastIP(ip string) bool {

@@ -140,102 +140,74 @@ func TestConvergenceSurvivesPacketLoss(t *testing.T) {
 	}
 }
 
-func TestDirectoryAgentRegistrationAndLookup(t *testing.T) {
-	// Paper §2: "when a repository exists ... the main challenge for
-	// clients and services is to discover the location of the
-	// repository, which acts as a mandatory intermediary."
-	n := simnet.New(simnet.Config{})
-	t.Cleanup(n.Close)
-	clientHost := n.MustAddHost("client", "10.0.0.1")
-	serviceHost := n.MustAddHost("service", "10.0.0.2")
-	daHost := n.MustAddHost("da", "10.0.0.5")
-
-	// The heartbeat matters: the SA starts after the DA's boot advert,
-	// so it learns the repository from a periodic re-announcement.
-	da, err := NewDirectoryAgent(daHost, AgentConfig{}, WithHeartbeat(10*time.Millisecond))
-	if err != nil {
-		t.Fatalf("NewDirectoryAgent: %v", err)
-	}
-	defer da.Close()
-
-	// The SA hears a DAAdvert (passive repository discovery) and
-	// forwards its registration.
+// TestServiceAgentIgnoresDAAdvert: a DAAdvert, here forged and sent
+// unicast by a stranger, draws no SrvReg from a service agent: neither for
+// the registrations it holds nor for the next one.
+func TestServiceAgentIgnoresDAAdvert(t *testing.T) {
+	_, strangerHost, serviceHost := testbed(t, simnet.Config{})
 	sa, err := NewServiceAgent(serviceHost, AgentConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sa.Close()
-	if err := sa.Register("service:clock", "service:clock://10.0.0.2:4005", time.Hour, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Registration propagates asynchronously; wait for the DA store.
-	deadline := time.Now().Add(time.Second)
-	for da.Registrations() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("registration never reached the DA")
+	for _, url := range []string{"service:clock://10.0.0.2:4005", "service:clock://10.0.0.2:4006"} {
+		if err := sa.Register("service:clock", url, time.Hour, nil); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	if addr, ok := sa.DA(); !ok || addr.IP != "10.0.0.5" {
-		t.Errorf("SA did not adopt DA: %v %v", addr, ok)
 	}
 
-	// The UA discovers the DA actively, pins it, and queries unicast.
-	ua := NewUserAgent(clientHost, AgentConfig{})
-	daAddr, err := ua.DiscoverDA(time.Second)
-	if err != nil {
-		t.Fatalf("DiscoverDA: %v", err)
-	}
-	if daAddr.IP != "10.0.0.5" || daAddr.Port != Port {
-		t.Errorf("DA addr = %v", daAddr)
-	}
-	urls, err := ua.FindFirst("service:clock", "", time.Second)
-	if err != nil {
-		t.Fatalf("FindFirst via DA: %v", err)
-	}
-	if len(urls) != 1 || urls[0].URL != "service:clock://10.0.0.2:4005" {
-		t.Errorf("urls = %+v", urls)
-	}
-}
-
-func TestDAShutdownAdvertised(t *testing.T) {
-	n := simnet.New(simnet.Config{})
-	t.Cleanup(n.Close)
-	serviceHost := n.MustAddHost("service", "10.0.0.2")
-	daHost := n.MustAddHost("da", "10.0.0.5")
-
-	da, err := NewDirectoryAgent(daHost, AgentConfig{}, WithHeartbeat(10*time.Millisecond))
+	conn, err := strangerHost.ListenUDP(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, err := NewServiceAgent(serviceHost, AgentConfig{})
-	if err != nil {
+	defer conn.Close()
+	saAddr := simnet.Addr{IP: "10.0.0.2", Port: Port}
+	send := func(m Message) {
+		t.Helper()
+		data, err := m.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.WriteTo(data, saAddr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The agent serves one datagram at a time, so once it answers a
+	// unicast SrvRqst sent after the advert, it has handled the advert.
+	srvRegs := 0
+	barrier := func(xid uint16) {
+		t.Helper()
+		send(&SrvRqst{Hdr: Header{XID: xid}, ServiceType: "service:clock", Scopes: []string{DefaultScope}})
+		for {
+			dg, err := conn.Recv(time.Second)
+			if err != nil {
+				t.Fatalf("no SrvRply to request %d: %v", xid, err)
+			}
+			msg, _ := Parse(dg.Payload)
+			switch m := msg.(type) {
+			case *SrvReg:
+				srvRegs++
+			case *SrvRply:
+				if m.Hdr.XID == xid {
+					return
+				}
+			}
+		}
+	}
+
+	send(&DAAdvert{
+		Hdr:           Header{XID: 1},
+		BootTimestamp: uint32(time.Now().Unix()),
+		URL:           "service:directory-agent://10.0.0.1",
+		Scopes:        []string{DefaultScope},
+	})
+	barrier(2)
+	if err := sa.Register("service:clock", "service:clock://10.0.0.2:4007", time.Hour, nil); err != nil {
 		t.Fatal(err)
 	}
-	defer sa.Close()
-
-	deadline := time.Now().Add(time.Second)
-	for {
-		if _, ok := sa.DA(); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("SA never adopted DA")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	da.Close() // multicasts boot timestamp 0
-	deadline = time.Now().Add(time.Second)
-	for {
-		if _, ok := sa.DA(); !ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("SA kept DA after shutdown advert")
-		}
-		time.Sleep(time.Millisecond)
+	barrier(3)
+	if srvRegs != 0 {
+		t.Errorf("service agent sent %d SrvRegs to the advert's sender, want 0", srvRegs)
 	}
 }
 

@@ -45,7 +45,8 @@ func groupAddr() netapi.Addr { return netapi.Addr{IP: MulticastGroup, Port: Port
 // ServiceAgent advertises services and answers requests for them — the
 // "service" role of the paper's discovery models. It supports both the
 // active model (answering multicast SrvRqsts with unicast SrvRplys) and
-// the passive model (periodic multicast SAAdverts).
+// the passive model (periodic multicast SAAdverts). It registers with no
+// directory agent: DAAdverts are parsed and ignored.
 type ServiceAgent struct {
 	host netapi.Stack
 	conn netapi.PacketConn
@@ -53,9 +54,6 @@ type ServiceAgent struct {
 
 	store *Store
 	xid   atomic.Uint32
-
-	mu sync.Mutex
-	da netapi.Addr // discovered directory agent, zero if none
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -105,11 +103,7 @@ func (sa *ServiceAgent) Close() {
 	sa.wg.Wait()
 }
 
-// Host returns the agent's host.
-func (sa *ServiceAgent) Host() netapi.Stack { return sa.host }
-
-// Register adds a local service. If a directory agent is known, the
-// registration is forwarded there as well.
+// Register adds a local service.
 func (sa *ServiceAgent) Register(serviceType, url string, lifetime time.Duration, attrs AttrList) error {
 	reg := Registration{
 		ServiceType: serviceType,
@@ -121,12 +115,6 @@ func (sa *ServiceAgent) Register(serviceType, url string, lifetime time.Duration
 	if code := sa.store.Register(reg); code != ErrNone {
 		return fmt.Errorf("slp sa: register %s: %s", url, code)
 	}
-	sa.mu.Lock()
-	da := sa.da
-	sa.mu.Unlock()
-	if !da.IsZero() {
-		sa.registerWithDA(da, reg)
-	}
 	return nil
 }
 
@@ -136,13 +124,6 @@ func (sa *ServiceAgent) Deregister(url string) error {
 		return fmt.Errorf("slp sa: deregister %s: %s", url, code)
 	}
 	return nil
-}
-
-// DA returns the directory agent the SA currently registers with, if any.
-func (sa *ServiceAgent) DA() (netapi.Addr, bool) {
-	sa.mu.Lock()
-	defer sa.mu.Unlock()
-	return sa.da, !sa.da.IsZero()
 }
 
 func (sa *ServiceAgent) nextXID() uint16 {
@@ -173,8 +154,6 @@ func (sa *ServiceAgent) serve() {
 			sa.handleAttrRqst(m, dg)
 		case *SrvTypeRqst:
 			sa.handleSrvTypeRqst(m, dg)
-		case *DAAdvert:
-			sa.handleDAAdvert(m, dg)
 		}
 	}
 }
@@ -280,41 +259,6 @@ func (sa *ServiceAgent) handleSrvTypeRqst(m *SrvTypeRqst, dg netapi.Datagram) {
 		return
 	}
 	sa.send(&SrvTypeRply{Hdr: replyHdr(m.Hdr, sa.cfg.lang()), Types: types}, dg.Src)
-}
-
-// handleDAAdvert adopts a newly announced DA and registers every local
-// service with it (RFC 2608 §12.2.2).
-func (sa *ServiceAgent) handleDAAdvert(m *DAAdvert, dg netapi.Datagram) {
-	if m.BootTimestamp == 0 {
-		// DA shutting down.
-		sa.mu.Lock()
-		if sa.da == dg.Src {
-			sa.da = netapi.Addr{}
-		}
-		sa.mu.Unlock()
-		return
-	}
-	if !ScopesIntersect(sa.cfg.scopes(), m.Scopes) {
-		return
-	}
-	sa.mu.Lock()
-	sa.da = dg.Src
-	sa.mu.Unlock()
-	now := time.Now()
-	for _, reg := range sa.store.Lookup("", nil, nil, now) {
-		sa.registerWithDA(dg.Src, reg)
-	}
-}
-
-func (sa *ServiceAgent) registerWithDA(da netapi.Addr, reg Registration) {
-	msg := &SrvReg{
-		Hdr:         Header{XID: sa.nextXID(), Lang: sa.cfg.lang(), Flags: FlagFresh},
-		Entry:       URLEntry{Lifetime: reg.Lifetime(time.Now()), URL: reg.URL},
-		ServiceType: reg.ServiceType,
-		Scopes:      reg.Scopes,
-		Attrs:       reg.Attrs.String(),
-	}
-	sa.send(msg, da)
 }
 
 func (sa *ServiceAgent) sendSAAdvert(m *SrvRqst, dst netapi.Addr) {

@@ -164,24 +164,3 @@ func (s *Store) Types(scopes []string, now time.Time) []string {
 	sort.Strings(out)
 	return out
 }
-
-// Expire removes lapsed registrations and returns how many were removed.
-func (s *Store) Expire(now time.Time) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	removed := 0
-	for url, reg := range s.regs {
-		if !reg.Expires.After(now) {
-			delete(s.regs, url)
-			removed++
-		}
-	}
-	return removed
-}
-
-// Len returns the number of stored registrations, live or not.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.regs)
-}

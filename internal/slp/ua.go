@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,43 +11,19 @@ import (
 )
 
 // UserAgent issues SLP requests on behalf of a client application — the
-// "client" role of the paper's discovery models. It supports:
-//
-//   - Active discovery: multicast convergence with previous-responder
-//     accumulation and retransmission (RFC 2608 §6.3), or unicast to a
-//     known directory agent.
-//   - Passive discovery: listening for DAAdverts to learn the repository
-//     without any transmission.
+// "client" role of the paper's discovery models. Every request is
+// multicast to the SLP group, with previous-responder accumulation and
+// retransmission (RFC 2608 §6.3); the agent uses no directory agent.
 type UserAgent struct {
 	host netapi.Stack
 	cfg  AgentConfig
 	xid  atomic.Uint32
-
-	mu sync.Mutex
-	da netapi.Addr
 }
 
 // NewUserAgent creates a user agent on host. It binds no permanent port;
 // each request uses an ephemeral socket, like a real UA.
 func NewUserAgent(host netapi.Stack, cfg AgentConfig) *UserAgent {
 	return &UserAgent{host: host, cfg: cfg}
-}
-
-// Host returns the agent's host.
-func (ua *UserAgent) Host() netapi.Stack { return ua.host }
-
-// SetDA pins a directory agent; subsequent requests go unicast to it.
-func (ua *UserAgent) SetDA(addr netapi.Addr) {
-	ua.mu.Lock()
-	defer ua.mu.Unlock()
-	ua.da = addr
-}
-
-// DA returns the pinned directory agent, if any.
-func (ua *UserAgent) DA() (netapi.Addr, bool) {
-	ua.mu.Lock()
-	defer ua.mu.Unlock()
-	return ua.da, !ua.da.IsZero()
 }
 
 func (ua *UserAgent) nextXID() uint16 { return uint16(ua.xid.Add(1)) }
@@ -72,15 +47,14 @@ func (ua *UserAgent) FindFirst(serviceType, predicate string, timeout time.Durat
 	}
 	defer conn.Close()
 
-	dst, flags := ua.requestTarget()
 	req := &SrvRqst{
-		Hdr:         Header{XID: ua.nextXID(), Lang: ua.cfg.lang(), Flags: flags},
+		Hdr:         Header{XID: ua.nextXID(), Lang: ua.cfg.lang(), Flags: FlagRequestMcast},
 		ServiceType: serviceType,
 		Scopes:      ua.cfg.scopes(),
 		Predicate:   predicate,
 	}
 	ua.delay()
-	if err := ua.send(conn, req, dst); err != nil {
+	if err := ua.send(conn, req, groupAddr()); err != nil {
 		return nil, err
 	}
 	deadline := time.Now().Add(timeout)
@@ -103,7 +77,7 @@ func (ua *UserAgent) FindFirst(serviceType, predicate string, timeout time.Durat
 			if time.Now().After(deadline) {
 				return nil, netapi.ErrTimeout
 			}
-			if err := ua.send(conn, req, dst); err != nil {
+			if err := ua.send(conn, req, groupAddr()); err != nil {
 				return nil, err
 			}
 			retry *= 2
@@ -135,17 +109,8 @@ func (ua *UserAgent) FindFirst(serviceType, predicate string, timeout time.Durat
 // FindServices runs a full multicast convergence round (RFC 2608 §6.3):
 // the request is retransmitted with the accumulated previous-responder
 // list until the convergence window closes or retransmissions stop
-// producing new answers, and all distinct URLs are returned. With a
-// directory agent pinned, a single unicast round trip replaces the
-// convergence.
+// producing new answers, and all distinct URLs are returned.
 func (ua *UserAgent) FindServices(serviceType, predicate string) ([]URLEntry, error) {
-	ua.mu.Lock()
-	da := ua.da
-	ua.mu.Unlock()
-	if !da.IsZero() {
-		return ua.FindFirst(serviceType, predicate, ConvergenceWait)
-	}
-
 	conn, err := ua.host.ListenUDP(0)
 	if err != nil {
 		return nil, fmt.Errorf("slp ua: %w", err)
@@ -226,14 +191,13 @@ func (ua *UserAgent) FindAttrs(url string, timeout time.Duration) (AttrList, err
 	}
 	defer conn.Close()
 
-	dst, flags := ua.requestTarget()
 	req := &AttrRqst{
-		Hdr:    Header{XID: ua.nextXID(), Lang: ua.cfg.lang(), Flags: flags},
+		Hdr:    Header{XID: ua.nextXID(), Lang: ua.cfg.lang(), Flags: FlagRequestMcast},
 		URL:    url,
 		Scopes: ua.cfg.scopes(),
 	}
 	ua.delay()
-	if err := ua.send(conn, req, dst); err != nil {
+	if err := ua.send(conn, req, groupAddr()); err != nil {
 		return nil, err
 	}
 	deadline := time.Now().Add(timeout)
@@ -270,14 +234,13 @@ func (ua *UserAgent) FindTypes(timeout time.Duration) ([]string, error) {
 	}
 	defer conn.Close()
 
-	dst, flags := ua.requestTarget()
 	req := &SrvTypeRqst{
-		Hdr:            Header{XID: ua.nextXID(), Lang: ua.cfg.lang(), Flags: flags},
+		Hdr:            Header{XID: ua.nextXID(), Lang: ua.cfg.lang(), Flags: FlagRequestMcast},
 		AllAuthorities: true,
 		Scopes:         ua.cfg.scopes(),
 	}
 	ua.delay()
-	if err := ua.send(conn, req, dst); err != nil {
+	if err := ua.send(conn, req, groupAddr()); err != nil {
 		return nil, err
 	}
 	deadline := time.Now().Add(timeout)
@@ -306,66 +269,12 @@ func (ua *UserAgent) FindTypes(timeout time.Duration) ([]string, error) {
 				types = append(types, t)
 			}
 		}
-		if !dst.IsMulticast() {
-			break // unicast: one reply is all there is
-		}
 	}
 	sort.Strings(types)
 	if len(types) == 0 {
 		return nil, netapi.ErrTimeout
 	}
 	return types, nil
-}
-
-// DiscoverDA actively locates a directory agent (RFC 2608 §12.1) and pins
-// it for subsequent requests.
-func (ua *UserAgent) DiscoverDA(timeout time.Duration) (netapi.Addr, error) {
-	conn, err := ua.host.ListenUDP(0)
-	if err != nil {
-		return netapi.Addr{}, fmt.Errorf("slp ua: %w", err)
-	}
-	defer conn.Close()
-
-	req := &SrvRqst{
-		Hdr:         Header{XID: ua.nextXID(), Lang: ua.cfg.lang(), Flags: FlagRequestMcast},
-		ServiceType: "service:directory-agent",
-		Scopes:      ua.cfg.scopes(),
-	}
-	ua.delay()
-	if err := ua.send(conn, req, groupAddr()); err != nil {
-		return netapi.Addr{}, err
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return netapi.Addr{}, netapi.ErrTimeout
-		}
-		dg, err := conn.Recv(remaining)
-		if err != nil {
-			return netapi.Addr{}, err
-		}
-		msg, err := Parse(dg.Payload)
-		if err != nil {
-			continue
-		}
-		adv, ok := msg.(*DAAdvert)
-		if !ok || adv.BootTimestamp == 0 {
-			continue
-		}
-		ua.SetDA(dg.Src)
-		return dg.Src, nil
-	}
-}
-
-// requestTarget picks unicast-to-DA or multicast-to-group addressing.
-func (ua *UserAgent) requestTarget() (netapi.Addr, uint16) {
-	ua.mu.Lock()
-	defer ua.mu.Unlock()
-	if !ua.da.IsZero() {
-		return ua.da, 0
-	}
-	return groupAddr(), FlagRequestMcast
 }
 
 func (ua *UserAgent) send(conn netapi.PacketConn, m Message, dst netapi.Addr) error {

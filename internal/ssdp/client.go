@@ -160,61 +160,3 @@ func (l *Listener) Close() {
 	l.conn.Close()
 	l.wg.Wait()
 }
-
-// Cache tracks live advertisements by USN+NT, honouring max-age expiry and
-// byebye withdrawal — the control point's view of the network.
-type Cache struct {
-	mu      sync.Mutex
-	entries map[string]cacheEntry
-}
-
-type cacheEntry struct {
-	notify  Notify
-	expires time.Time
-}
-
-// NewCache creates an empty advertisement cache.
-func NewCache() *Cache {
-	return &Cache{entries: make(map[string]cacheEntry)}
-}
-
-// Observe folds one announcement into the cache.
-func (c *Cache) Observe(n *Notify, now time.Time) {
-	key := n.USN + "|" + n.NT
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n.NTS == NTSByeBye {
-		delete(c.entries, key)
-		return
-	}
-	maxAge := n.MaxAge
-	if maxAge <= 0 {
-		maxAge = 1800
-	}
-	c.entries[key] = cacheEntry{
-		notify:  *n,
-		expires: now.Add(time.Duration(maxAge) * time.Second),
-	}
-}
-
-// Live returns the unexpired advertisements.
-func (c *Cache) Live(now time.Time) []Notify {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []Notify
-	for key, e := range c.entries {
-		if e.expires.Before(now) {
-			delete(c.entries, key)
-			continue
-		}
-		out = append(out, e.notify)
-	}
-	return out
-}
-
-// Len returns the number of cached entries, expired or not.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}

@@ -42,8 +42,9 @@ type Server struct {
 	conn netapi.PacketConn
 	cfg  ServerConfig
 
-	mu  sync.Mutex
-	ads []Advertisement
+	ads []Advertisement // fixed at construction, so read without a lock
+
+	mu  sync.Mutex // guards rng
 	rng *rand.Rand
 
 	stop chan struct{}
@@ -116,40 +117,6 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// AddAdvertisement announces a new (NT, USN) pair at runtime.
-func (s *Server) AddAdvertisement(ad Advertisement) {
-	s.mu.Lock()
-	s.ads = append(s.ads, ad)
-	s.mu.Unlock()
-	s.sendNotify(ad, NTSAlive)
-}
-
-// RemoveAdvertisement sends byebye for and forgets the advertisement with
-// the given USN and NT.
-func (s *Server) RemoveAdvertisement(nt, usn string) {
-	s.mu.Lock()
-	kept := s.ads[:0]
-	var removed []Advertisement
-	for _, ad := range s.ads {
-		if ad.NT == nt && ad.USN == usn {
-			removed = append(removed, ad)
-			continue
-		}
-		kept = append(kept, ad)
-	}
-	s.ads = kept
-	s.mu.Unlock()
-	for _, ad := range removed {
-		s.sendNotify(ad, NTSByeBye)
-	}
-}
-
-func (s *Server) snapshot() []Advertisement {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Advertisement(nil), s.ads...)
-}
-
 func (s *Server) serve() {
 	for {
 		dg, err := s.conn.Recv(0)
@@ -174,7 +141,7 @@ func (s *Server) serve() {
 // answer sends one unicast response per matching advertisement, after a
 // random delay within MX seconds (UDA 1.0 §1.2.3).
 func (s *Server) answer(search *SearchRequest, dst netapi.Addr) {
-	for _, ad := range s.snapshot() {
+	for _, ad := range s.ads {
 		if !TargetMatches(search.ST, ad.NT) {
 			continue
 		}
@@ -220,7 +187,7 @@ func (s *Server) announce() {
 }
 
 func (s *Server) notifyAll(nts string) {
-	for _, ad := range s.snapshot() {
+	for _, ad := range s.ads {
 		s.sendNotify(ad, nts)
 	}
 }

@@ -288,50 +288,6 @@ func TestPeriodicNotify(t *testing.T) {
 	}, "periodic alive notifications")
 }
 
-func TestAddRemoveAdvertisement(t *testing.T) {
-	_, clientHost, deviceHost := newNet(t)
-	srv, err := NewServer(deviceHost, ServerConfig{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	c := NewClient(clientHost, ClientConfig{})
-	if _, err := c.SearchFirst("uuid:late", 0, 50*time.Millisecond); !errors.Is(err, simnet.ErrTimeout) {
-		t.Fatalf("unexpected early answer: %v", err)
-	}
-	srv.AddAdvertisement(Advertisement{NT: "uuid:late", USN: "uuid:late", Location: "http://10.0.0.2:4004/d.xml"})
-	if _, err := c.SearchFirst("uuid:late", 0, time.Second); err != nil {
-		t.Fatalf("SearchFirst after add: %v", err)
-	}
-	srv.RemoveAdvertisement("uuid:late", "uuid:late")
-	if _, err := c.SearchFirst("uuid:late", 0, 50*time.Millisecond); !errors.Is(err, simnet.ErrTimeout) {
-		t.Errorf("still answering after remove: %v", err)
-	}
-}
-
-func TestCacheObserveAndExpiry(t *testing.T) {
-	cache := NewCache()
-	now := time.Now()
-	alive := &Notify{NT: "x", NTS: NTSAlive, USN: "u", MaxAge: 10}
-	cache.Observe(alive, now)
-	if live := cache.Live(now.Add(5 * time.Second)); len(live) != 1 {
-		t.Errorf("live = %d, want 1", len(live))
-	}
-	if live := cache.Live(now.Add(15 * time.Second)); len(live) != 0 {
-		t.Errorf("expired entry still live: %d", len(live))
-	}
-
-	cache.Observe(alive, now)
-	cache.Observe(&Notify{NT: "x", NTS: NTSByeBye, USN: "u"}, now)
-	if live := cache.Live(now); len(live) != 0 {
-		t.Errorf("byebye did not withdraw: %d", len(live))
-	}
-	if cache.Len() != 0 {
-		t.Errorf("Len = %d", cache.Len())
-	}
-}
-
 func TestMXJitterDelaysResponse(t *testing.T) {
 	_, clientHost, deviceHost := newNet(t)
 	srv, err := NewServer(deviceHost, ServerConfig{Seed: 99}, testAds()[:1])

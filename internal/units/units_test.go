@@ -41,14 +41,7 @@ func clockDevice(t *testing.T, host *simnet.Host) *upnp.RootDevice {
 		FriendlyName: "CyberGarage Clock Device",
 		Manufacturer: "CyberGarage",
 		ModelName:    "Clock",
-		Services: []upnp.ServiceConfig{{
-			Kind: "timer",
-			Actions: map[string]upnp.ActionHandler{
-				"GetTime": func(*upnp.Action) ([]upnp.Arg, error) {
-					return []upnp.Arg{{Name: "CurrentTime", Value: "12:00:00"}}, nil
-				},
-			},
-		}},
+		Services:     []upnp.ServiceConfig{{Kind: "timer"}},
 	})
 	if err != nil {
 		t.Fatalf("clock device: %v", err)

@@ -3,9 +3,6 @@ package upnp
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"indiss/internal/httpx"
@@ -30,30 +27,15 @@ type Device struct {
 	Response ssdp.SearchResponse
 	// Desc is the parsed description document.
 	Desc DeviceDesc
-	// DescAddr is where the description (and control) server lives.
+	// DescAddr is where the description server lives.
 	DescAddr netapi.Addr
-}
-
-// ServiceByKind finds the device's service with the given short kind.
-func (d *Device) ServiceByKind(kind string) (ServiceDesc, bool) {
-	for _, sd := range d.Desc.Services {
-		if strings.Contains(sd.ServiceType, ":service:"+kind+":") {
-			return sd, true
-		}
-	}
-	return ServiceDesc{}, false
-}
-
-// ControlURL returns the absolute control URL of a service.
-func (d *Device) ControlURL(sd ServiceDesc) string {
-	return HTTPURL(d.DescAddr, sd.ControlURL)
 }
 
 // ErrNoDevice reports that discovery produced no usable device.
 var ErrNoDevice = errors.New("upnp: no device found")
 
-// ControlPoint drives discovery, description, control and eventing from
-// the client side (UDA 1.0 "control point").
+// ControlPoint drives discovery and description from the client side
+// (UDA 1.0 "control point").
 type ControlPoint struct {
 	host netapi.Stack
 	cfg  ControlPointConfig
@@ -67,9 +49,6 @@ func NewControlPoint(host netapi.Stack, cfg ControlPointConfig) *ControlPoint {
 	}
 	return &ControlPoint{host: host, cfg: cfg, ssdp: ssdp.NewClient(host, cfg.SSDP)}
 }
-
-// Host returns the control point's host.
-func (cp *ControlPoint) Host() netapi.Stack { return cp.host }
 
 func (cp *ControlPoint) delay() {
 	if cp.cfg.HTTPDelay > 0 {
@@ -86,31 +65,6 @@ func (cp *ControlPoint) Discover(target string, mx int) (*Device, error) {
 		return nil, fmt.Errorf("%w: %v", ErrNoDevice, err)
 	}
 	return cp.Describe(resp)
-}
-
-// DiscoverAll collects every device answering within the window.
-func (cp *ControlPoint) DiscoverAll(target string, mx int, window time.Duration) ([]*Device, error) {
-	resps, err := cp.ssdp.Search(target, mx, window)
-	if err != nil {
-		return nil, err
-	}
-	var out []*Device
-	seen := make(map[string]struct{})
-	for _, resp := range resps {
-		dev, err := cp.Describe(resp)
-		if err != nil {
-			continue
-		}
-		if _, dup := seen[dev.Desc.UDN]; dup {
-			continue
-		}
-		seen[dev.Desc.UDN] = struct{}{}
-		out = append(out, dev)
-	}
-	if len(out) == 0 {
-		return nil, ErrNoDevice
-	}
-	return out, nil
 }
 
 // Describe fetches and parses the description document behind a search
@@ -133,137 +87,4 @@ func (cp *ControlPoint) Describe(resp *ssdp.SearchResponse) (*Device, error) {
 		return nil, err
 	}
 	return &Device{Response: *resp, Desc: *desc, DescAddr: addr}, nil
-}
-
-// Invoke POSTs a SOAP action to the device service and returns the
-// response action.
-func (cp *ControlPoint) Invoke(dev *Device, sd ServiceDesc, action *Action) (*Action, error) {
-	if action.ServiceType == "" {
-		action.ServiceType = sd.ServiceType
-	}
-	req := &httpx.Request{
-		Method: "POST",
-		Target: sd.ControlURL,
-		Header: httpx.NewHeader(
-			"CONTENT-TYPE", `text/xml; charset="utf-8"`,
-			"SOAPACTION", `"`+sd.ServiceType+"#"+action.Name+`"`,
-		),
-		Body: action.MarshalSOAP(),
-	}
-	httpResp, err := httpx.Do(cp.host, dev.DescAddr, req, cp.cfg.Timeout)
-	if err != nil {
-		return nil, fmt.Errorf("upnp cp: invoke: %w", err)
-	}
-	cp.delay()
-	if httpResp.StatusCode != 200 {
-		if code, desc, ok := ParseSOAPFault(httpResp.Body); ok {
-			return nil, fmt.Errorf("upnp cp: fault %s: %s", code, desc)
-		}
-		return nil, fmt.Errorf("upnp cp: invoke: status %d", httpResp.StatusCode)
-	}
-	return ParseSOAP(httpResp.Body)
-}
-
-// EventHandler observes GENA property-change events.
-type EventHandler func(sid string, seq int, vars map[string]string)
-
-// Subscription is a live GENA subscription with its callback server.
-type Subscription struct {
-	// SID is the subscription identifier issued by the device.
-	SID string
-
-	cp       *ControlPoint
-	dev      *Device
-	service  ServiceDesc
-	listener *httpx.Server
-	port     int
-
-	mu     sync.Mutex
-	closed bool
-}
-
-// Subscribe starts a callback server on the control point's host and
-// subscribes to the service's events.
-func (cp *ControlPoint) Subscribe(dev *Device, sd ServiceDesc, handler EventHandler) (*Subscription, error) {
-	l, err := cp.host.ListenTCP(0)
-	if err != nil {
-		return nil, fmt.Errorf("upnp cp: subscribe: %w", err)
-	}
-	srv := &httpx.Server{Handler: func(req *httpx.Request) *httpx.Response {
-		if req.Method != "NOTIFY" {
-			return &httpx.Response{StatusCode: 501}
-		}
-		vars, err := ParsePropertySet(req.Body)
-		if err != nil {
-			return &httpx.Response{StatusCode: 400}
-		}
-		seq, _ := strconv.Atoi(req.Header.Get("SEQ"))
-		handler(req.Header.Get("SID"), seq, vars)
-		return &httpx.Response{StatusCode: 200}
-	}}
-	srv.Start(l)
-
-	callback := HTTPURL(l.Addr(), "/event")
-	req := &httpx.Request{
-		Method: "SUBSCRIBE",
-		Target: sd.EventSubURL,
-		Header: httpx.NewHeader(
-			"CALLBACK", "<"+callback+">",
-			"NT", "upnp:event",
-			"TIMEOUT", "Second-1800",
-		),
-	}
-	resp, err := httpx.Do(cp.host, dev.DescAddr, req, cp.cfg.Timeout)
-	if err != nil {
-		srv.Close()
-		return nil, fmt.Errorf("upnp cp: subscribe: %w", err)
-	}
-	if resp.StatusCode != 200 || resp.Header.Get("SID") == "" {
-		srv.Close()
-		return nil, fmt.Errorf("upnp cp: subscribe: status %d", resp.StatusCode)
-	}
-	return &Subscription{
-		SID:      resp.Header.Get("SID"),
-		cp:       cp,
-		dev:      dev,
-		service:  sd,
-		listener: srv,
-		port:     l.Addr().Port,
-	}, nil
-}
-
-// Renew refreshes the subscription's lease.
-func (s *Subscription) Renew() error {
-	req := &httpx.Request{
-		Method: "SUBSCRIBE",
-		Target: s.service.EventSubURL,
-		Header: httpx.NewHeader("SID", s.SID, "TIMEOUT", "Second-1800"),
-	}
-	resp, err := httpx.Do(s.cp.host, s.dev.DescAddr, req, s.cp.cfg.Timeout)
-	if err != nil {
-		return fmt.Errorf("upnp cp: renew: %w", err)
-	}
-	if resp.StatusCode != 200 {
-		return fmt.Errorf("upnp cp: renew: status %d", resp.StatusCode)
-	}
-	return nil
-}
-
-// Close unsubscribes and stops the callback server.
-func (s *Subscription) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
-
-	req := &httpx.Request{
-		Method: "UNSUBSCRIBE",
-		Target: s.service.EventSubURL,
-		Header: httpx.NewHeader("SID", s.SID),
-	}
-	_, _ = httpx.Do(s.cp.host, s.dev.DescAddr, req, s.cp.cfg.Timeout)
-	s.listener.Close()
 }

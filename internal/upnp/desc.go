@@ -1,6 +1,8 @@
-// Package upnp implements a subset of the UPnP Device Architecture 1.0 on
-// top of ssdp, httpx and xmlx: root devices with XML description
-// documents, control points, SOAP control and GENA eventing.
+// Package upnp implements the discovery and description steps of the UPnP
+// Device Architecture 1.0 on top of ssdp, httpx and xmlx: root devices
+// that answer searches and serve an XML description document, and control
+// points that search and fetch it. SOAP control and GENA eventing are left
+// out: they act on a service once it is found, and never cross INDISS.
 //
 // UPnP is the second SDP of the paper's prototype (the authors used
 // CyberLink for Java). Its discovery is deliberately multi-step — SSDP

@@ -2,24 +2,17 @@ package upnp
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"indiss/internal/httpx"
 	"indiss/internal/netapi"
 	"indiss/internal/ssdp"
-	"indiss/internal/xmlx"
 )
 
 // DefaultDescriptionPort is where root devices serve description.xml —
 // the paper's trace uses http://128.93.8.112:4004/description.xml.
 const DefaultDescriptionPort = 4004
-
-// ActionHandler implements one SOAP action: it receives the request action
-// and returns the response arguments.
-type ActionHandler func(*Action) ([]Arg, error)
 
 // ServiceConfig defines one hosted service.
 type ServiceConfig struct {
@@ -28,8 +21,6 @@ type ServiceConfig struct {
 	Kind string
 	// Version of the service type URN (default 1).
 	Version int
-	// Actions maps action names to handlers.
-	Actions map[string]ActionHandler
 }
 
 // DeviceConfig defines a root device.
@@ -52,35 +43,20 @@ type DeviceConfig struct {
 	Services []ServiceConfig
 	// SSDP tunes the discovery layer.
 	SSDP ssdp.ServerConfig
-	// HTTPDelay models description/control server processing cost (the
+	// HTTPDelay models description server processing cost (the
 	// CyberLink profile).
 	HTTPDelay time.Duration
 }
 
 // RootDevice is a running UPnP device: an SSDP responder plus an HTTP
-// server for description, control and eventing.
+// server for its description document.
 type RootDevice struct {
-	host netapi.Stack
 	desc DeviceDesc
 	cfg  DeviceConfig
 
 	httpSrv  *httpx.Server
 	ssdpSrv  *ssdp.Server
 	descAddr netapi.Addr
-
-	actions map[string]map[string]ActionHandler // controlURL → action → handler
-
-	mu   sync.Mutex
-	subs map[string]*subscription // SID → subscription
-	seq  int
-}
-
-type subscription struct {
-	sid      string
-	callback string // http URL
-	service  string // eventSubURL it subscribed at
-	expires  time.Time
-	seq      int
 }
 
 // NewRootDevice builds the description document, starts the HTTP and SSDP
@@ -100,12 +76,7 @@ func NewRootDevice(host netapi.Stack, cfg DeviceConfig) (*RootDevice, error) {
 		uuid = "uuid:" + cfg.Kind + "-" + strings.ReplaceAll(host.IP(), ".", "-")
 	}
 
-	d := &RootDevice{
-		host:    host,
-		cfg:     cfg,
-		actions: make(map[string]map[string]ActionHandler),
-		subs:    make(map[string]*subscription),
-	}
+	d := &RootDevice{cfg: cfg}
 	d.desc = DeviceDesc{
 		DeviceType:       TypeURN(cfg.Kind, cfg.Version),
 		FriendlyName:     cfg.FriendlyName,
@@ -128,11 +99,6 @@ func NewRootDevice(host netapi.Stack, cfg DeviceConfig) (*RootDevice, error) {
 			EventSubURL: base + "/event",
 		}
 		d.desc.Services = append(d.desc.Services, sd)
-		handlers := make(map[string]ActionHandler, len(svc.Actions))
-		for name, h := range svc.Actions {
-			handlers[name] = h
-		}
-		d.actions[sd.ControlURL] = handlers
 	}
 
 	l, err := host.ListenTCP(cfg.DescriptionPort)
@@ -174,231 +140,28 @@ func (d *RootDevice) Location() string {
 	return HTTPURL(d.descAddr, "/description.xml")
 }
 
-// UDN returns the device's unique device name.
-func (d *RootDevice) UDN() string { return d.desc.UDN }
-
 // Description returns a copy of the device description.
 func (d *RootDevice) Description() DeviceDesc { return d.desc }
 
-// Host returns the device's host.
-func (d *RootDevice) Host() netapi.Stack { return d.host }
-
+// handleHTTP serves the description document and nothing else. The SCPD,
+// control and event-sub URLs it lists stay in the document, byte for byte,
+// but are not served: INDISS bridges discovery, and what a client does
+// with a service it found never crosses it.
 func (d *RootDevice) handleHTTP(req *httpx.Request) *httpx.Response {
-	switch req.Method {
-	case "GET":
-		return d.handleGet(req)
-	case "POST":
-		return d.handleControl(req)
-	case "SUBSCRIBE":
-		return d.handleSubscribe(req)
-	case "UNSUBSCRIBE":
-		return d.handleUnsubscribe(req)
-	default:
+	if req.Method != "GET" {
 		return &httpx.Response{StatusCode: 501}
 	}
-}
-
-func (d *RootDevice) handleGet(req *httpx.Request) *httpx.Response {
-	if req.Target == "/description.xml" {
-		return &httpx.Response{
-			StatusCode: 200,
-			Header: httpx.NewHeader(
-				"CONTENT-TYPE", "text/xml",
-				"SERVER", d.serverToken(),
-			),
-			Body: MarshalDescription(&d.desc),
-		}
-	}
-	for _, sd := range d.desc.Services {
-		if req.Target == sd.SCPDURL {
-			return &httpx.Response{
-				StatusCode: 200,
-				Header:     httpx.NewHeader("CONTENT-TYPE", "text/xml"),
-				Body:       d.marshalSCPD(sd),
-			}
-		}
-	}
-	return &httpx.Response{StatusCode: 404}
-}
-
-// marshalSCPD renders a minimal service control protocol description
-// listing the service's actions (UDA 1.0 §2.3).
-func (d *RootDevice) marshalSCPD(sd ServiceDesc) []byte {
-	scpd := &xmlx.Node{
-		Name:  "scpd",
-		Attrs: []xmlx.Attr{{Name: "xmlns", Value: "urn:schemas-upnp-org:service-1-0"}},
-		Children: []*xmlx.Node{
-			{Name: "specVersion", Children: []*xmlx.Node{
-				{Name: "major", Text: "1"},
-				{Name: "minor", Text: "0"},
-			}},
-		},
-	}
-	actionList := &xmlx.Node{Name: "actionList"}
-	for name := range d.actions[sd.ControlURL] {
-		actionList.Children = append(actionList.Children, &xmlx.Node{
-			Name:     "action",
-			Children: []*xmlx.Node{{Name: "name", Text: name}},
-		})
-	}
-	scpd.Children = append(scpd.Children, actionList)
-	return append([]byte(`<?xml version="1.0"?>`), scpd.Marshal()...)
-}
-
-func (d *RootDevice) handleControl(req *httpx.Request) *httpx.Response {
-	handlers, ok := d.actions[req.Target]
-	if !ok {
+	if req.Target != "/description.xml" {
 		return &httpx.Response{StatusCode: 404}
 	}
-	action, err := ParseSOAP(req.Body)
-	if err != nil {
-		return soapError(401, "Invalid Action")
-	}
-	handler, ok := handlers[action.Name]
-	if !ok {
-		return soapError(401, "Invalid Action")
-	}
-	outArgs, err := handler(action)
-	if err != nil {
-		return soapError(501, err.Error())
-	}
-	resp := &Action{
-		ServiceType: action.ServiceType,
-		Name:        action.Name + "Response",
-		Args:        outArgs,
-	}
-	return &httpx.Response{
-		StatusCode: 200,
-		Header:     httpx.NewHeader("CONTENT-TYPE", `text/xml; charset="utf-8"`, "EXT", ""),
-		Body:       resp.MarshalSOAP(),
-	}
-}
-
-func soapError(code int, desc string) *httpx.Response {
-	return &httpx.Response{
-		StatusCode: 500,
-		Header:     httpx.NewHeader("CONTENT-TYPE", `text/xml; charset="utf-8"`),
-		Body:       SOAPFault(code, desc),
-	}
-}
-
-// handleSubscribe implements GENA SUBSCRIBE (UDA 1.0 §4.1.1), both initial
-// subscription (CALLBACK+NT) and renewal (SID).
-func (d *RootDevice) handleSubscribe(req *httpx.Request) *httpx.Response {
-	if !d.isEventURL(req.Target) {
-		return &httpx.Response{StatusCode: 404}
-	}
-	timeout := 1800 * time.Second
-
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if sid := req.Header.Get("SID"); sid != "" {
-		sub, ok := d.subs[sid]
-		if !ok {
-			return &httpx.Response{StatusCode: 412}
-		}
-		sub.expires = time.Now().Add(timeout)
-		return subscribeOK(sid, timeout)
-	}
-	callback := strings.Trim(req.Header.Get("CALLBACK"), "<>")
-	if callback == "" || !strings.EqualFold(req.Header.Get("NT"), "upnp:event") {
-		return &httpx.Response{StatusCode: 412}
-	}
-	d.seq++
-	sid := fmt.Sprintf("uuid:sub-%s-%d", strings.ReplaceAll(d.host.IP(), ".", "-"), d.seq)
-	d.subs[sid] = &subscription{
-		sid:      sid,
-		callback: callback,
-		service:  req.Target,
-		expires:  time.Now().Add(timeout),
-	}
-	return subscribeOK(sid, timeout)
-}
-
-func subscribeOK(sid string, timeout time.Duration) *httpx.Response {
 	return &httpx.Response{
 		StatusCode: 200,
 		Header: httpx.NewHeader(
-			"SID", sid,
-			"TIMEOUT", "Second-"+strconv.Itoa(int(timeout/time.Second)),
+			"CONTENT-TYPE", "text/xml",
+			"SERVER", d.serverToken(),
 		),
+		Body: MarshalDescription(&d.desc),
 	}
-}
-
-func (d *RootDevice) handleUnsubscribe(req *httpx.Request) *httpx.Response {
-	sid := req.Header.Get("SID")
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.subs[sid]; !ok {
-		return &httpx.Response{StatusCode: 412}
-	}
-	delete(d.subs, sid)
-	return &httpx.Response{StatusCode: 200}
-}
-
-func (d *RootDevice) isEventURL(target string) bool {
-	for _, sd := range d.desc.Services {
-		if sd.EventSubURL == target {
-			return true
-		}
-	}
-	return false
-}
-
-// NotifyStateChange pushes a GENA property-change event to every live
-// subscriber of the service with the given kind (UDA 1.0 §4.2).
-func (d *RootDevice) NotifyStateChange(serviceKind string, vars map[string]string) int {
-	eventURL := "/service/" + serviceKind + "/event"
-	body := marshalPropertySet(vars)
-
-	d.mu.Lock()
-	now := time.Now()
-	var targets []*subscription
-	for sid, sub := range d.subs {
-		if sub.service != eventURL {
-			continue
-		}
-		if sub.expires.Before(now) {
-			delete(d.subs, sid)
-			continue
-		}
-		sub.seq++
-		targets = append(targets, &subscription{
-			sid: sub.sid, callback: sub.callback, seq: sub.seq,
-		})
-	}
-	d.mu.Unlock()
-
-	sent := 0
-	for _, sub := range targets {
-		addr, path, err := ParseHTTPURL(sub.callback)
-		if err != nil {
-			continue
-		}
-		req := &httpx.Request{
-			Method: "NOTIFY",
-			Target: path,
-			Header: httpx.NewHeader(
-				"CONTENT-TYPE", `text/xml; charset="utf-8"`,
-				"NT", "upnp:event",
-				"NTS", "upnp:propchange",
-				"SID", sub.sid,
-				"SEQ", strconv.Itoa(sub.seq),
-			),
-			Body: body,
-		}
-		if _, err := httpx.Do(d.host, addr, req, 2*time.Second); err == nil {
-			sent++
-		}
-	}
-	return sent
-}
-
-// Subscribers returns the number of live subscriptions.
-func (d *RootDevice) Subscribers() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.subs)
 }
 
 func (d *RootDevice) serverToken() string {
@@ -406,46 +169,4 @@ func (d *RootDevice) serverToken() string {
 		return d.cfg.SSDP.Server
 	}
 	return "simnet/1.0 UPnP/1.0 indiss/1.0"
-}
-
-// marshalPropertySet renders the GENA event body.
-func marshalPropertySet(vars map[string]string) []byte {
-	set := &xmlx.Node{
-		Name:  "e:propertyset",
-		Attrs: []xmlx.Attr{{Name: "xmlns:e", Value: "urn:schemas-upnp-org:event-1-0"}},
-	}
-	names := make([]string, 0, len(vars))
-	for name := range vars {
-		names = append(names, name)
-	}
-	// Sort for deterministic output.
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
-	for _, name := range names {
-		set.Children = append(set.Children, &xmlx.Node{
-			Name:     "e:property",
-			Children: []*xmlx.Node{{Name: name, Text: vars[name]}},
-		})
-	}
-	return append([]byte(`<?xml version="1.0"?>`), set.Marshal()...)
-}
-
-// ParsePropertySet decodes a GENA event body into its variables.
-func ParsePropertySet(data []byte) (map[string]string, error) {
-	root, err := xmlx.Parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("upnp: bad property set: %w", err)
-	}
-	vars := make(map[string]string)
-	for _, prop := range root.FindAll("property") {
-		for _, c := range prop.Children {
-			vars[localPart(c.Name)] = c.Text
-		}
-	}
-	return vars, nil
 }

@@ -2,8 +2,6 @@ package upnp
 
 import (
 	"errors"
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -76,39 +74,6 @@ func TestURNHelpers(t *testing.T) {
 	}
 }
 
-func TestSOAPRoundTrip(t *testing.T) {
-	a := &Action{
-		ServiceType: ServiceURN("timer", 1),
-		Name:        "GetTime",
-		Args:        []Arg{{Name: "Format", Value: "iso<8601>"}},
-	}
-	back, err := ParseSOAP(a.MarshalSOAP())
-	if err != nil {
-		t.Fatalf("ParseSOAP: %v", err)
-	}
-	if back.Name != "GetTime" || back.ServiceType != a.ServiceType {
-		t.Errorf("round trip: %+v", back)
-	}
-	if back.Get("Format") != "iso<8601>" {
-		t.Errorf("arg = %q (escaping broken?)", back.Get("Format"))
-	}
-	if back.Get("Missing") != "" {
-		t.Error("missing arg should be empty")
-	}
-}
-
-func TestSOAPFaultRoundTrip(t *testing.T) {
-	data := SOAPFault(401, "Invalid Action")
-	code, desc, ok := ParseSOAPFault(data)
-	if !ok || code != "401" || desc != "Invalid Action" {
-		t.Errorf("fault = %q %q %v", code, desc, ok)
-	}
-	a := &Action{ServiceType: "urn:x", Name: "Ok"}
-	if _, _, ok := ParseSOAPFault(a.MarshalSOAP()); ok {
-		t.Error("non-fault recognized as fault")
-	}
-}
-
 func TestParseHTTPURL(t *testing.T) {
 	addr, path, err := ParseHTTPURL("http://10.0.0.2:4004/description.xml")
 	if err != nil {
@@ -136,17 +101,7 @@ func clockDevice(t *testing.T, host *simnet.Host) *RootDevice {
 		FriendlyName: "CyberGarage Clock Device",
 		Manufacturer: "CyberGarage",
 		ModelName:    "Clock",
-		Services: []ServiceConfig{{
-			Kind: "timer",
-			Actions: map[string]ActionHandler{
-				"GetTime": func(a *Action) ([]Arg, error) {
-					return []Arg{{Name: "CurrentTime", Value: "12:00:00"}}, nil
-				},
-				"Fail": func(a *Action) ([]Arg, error) {
-					return nil, fmt.Errorf("deliberate failure")
-				},
-			},
-		}},
+		Services:     []ServiceConfig{{Kind: "timer"}},
 	})
 	if err != nil {
 		t.Fatalf("NewRootDevice: %v", err)
@@ -177,11 +132,10 @@ func TestDiscoverDescribeChain(t *testing.T) {
 	if dev.DescAddr.Port != DefaultDescriptionPort {
 		t.Errorf("description addr = %v", dev.DescAddr)
 	}
-	sd, ok := dev.ServiceByKind("timer")
-	if !ok {
+	if len(dev.Desc.Services) != 1 || dev.Desc.Services[0].ServiceType != ServiceURN("timer", 1) {
 		t.Fatalf("timer service missing: %+v", dev.Desc.Services)
 	}
-	if got := dev.ControlURL(sd); got != "http://10.0.0.2:4004/service/timer/control" {
+	if got := HTTPURL(dev.DescAddr, dev.Desc.Services[0].ControlURL); got != "http://10.0.0.2:4004/service/timer/control" {
 		t.Errorf("control url = %q", got)
 	}
 }
@@ -194,110 +148,55 @@ func TestDiscoverNoDevice(t *testing.T) {
 	}
 }
 
-func TestInvokeAction(t *testing.T) {
-	clientHost, deviceHost := newNet(t)
-	clockDevice(t, deviceHost)
-
-	cp := NewControlPoint(clientHost, ControlPointConfig{})
-	dev, err := cp.Discover(TypeURN("clock", 1), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sd, _ := dev.ServiceByKind("timer")
-
-	resp, err := cp.Invoke(dev, sd, &Action{Name: "GetTime"})
-	if err != nil {
-		t.Fatalf("Invoke: %v", err)
-	}
-	if resp.Name != "GetTimeResponse" || resp.Get("CurrentTime") != "12:00:00" {
-		t.Errorf("response = %+v", resp)
-	}
-
-	if _, err := cp.Invoke(dev, sd, &Action{Name: "NoSuchAction"}); err == nil {
-		t.Error("unknown action should fail")
-	}
-	if _, err := cp.Invoke(dev, sd, &Action{Name: "Fail"}); err == nil || !strings.Contains(err.Error(), "deliberate") {
-		t.Errorf("failing action err = %v", err)
-	}
-}
-
-func TestSCPDServed(t *testing.T) {
-	clientHost, deviceHost := newNet(t)
-	clockDevice(t, deviceHost)
-
-	cp := NewControlPoint(clientHost, ControlPointConfig{})
-	dev, err := cp.Discover(TypeURN("clock", 1), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sd, _ := dev.ServiceByKind("timer")
-	resp, err := httpx.Get(cp.Host(), dev.DescAddr, sd.SCPDURL, time.Second)
-	if err != nil {
-		t.Fatalf("SCPD fetch: %v", err)
-	}
-	if resp.StatusCode != 200 || !strings.Contains(string(resp.Body), "GetTime") {
-		t.Errorf("SCPD = %d %s", resp.StatusCode, resp.Body)
-	}
-	// Unknown paths 404.
-	resp, err = httpx.Get(cp.Host(), dev.DescAddr, "/nosuch", time.Second)
-	if err != nil {
-		t.Fatalf("404 fetch: %v", err)
-	}
-	if resp.StatusCode != 404 {
-		t.Errorf("status = %d, want 404", resp.StatusCode)
-	}
-}
-
-func TestEventingSubscribeNotifyUnsubscribe(t *testing.T) {
+// TestDeviceServesOnlyDescription: a root device serves its description
+// document and nothing else. The SCPD, control and event-sub URLs the
+// document lists answer 404 to a GET and 501 to a SOAP POST, SUBSCRIBE and
+// UNSUBSCRIBE, so no host can leave a subscription on the device.
+func TestDeviceServesOnlyDescription(t *testing.T) {
 	clientHost, deviceHost := newNet(t)
 	dev := clockDevice(t, deviceHost)
-
-	cp := NewControlPoint(clientHost, ControlPointConfig{})
-	found, err := cp.Discover(TypeURN("clock", 1), 0)
+	addr, _, err := ParseHTTPURL(dev.Location())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sd, _ := found.ServiceByKind("timer")
-
-	type event struct {
-		sid  string
-		seq  int
-		vars map[string]string
+	sd := dev.Description().Services[0]
+	getTime := `<?xml version="1.0"?><s:Envelope xmlns:s="http://schemas.xmlsoap.org/soap/envelope/">` +
+		`<s:Body><u:GetTime xmlns:u="` + sd.ServiceType + `"/></s:Body></s:Envelope>`
+	cases := []struct {
+		name string
+		req  *httpx.Request
+		want int
+	}{
+		{"description", &httpx.Request{Method: "GET", Target: "/description.xml"}, 200},
+		{"scpd", &httpx.Request{Method: "GET", Target: sd.SCPDURL}, 404},
+		{"unknown path", &httpx.Request{Method: "GET", Target: "/nosuch"}, 404},
+		{"control", &httpx.Request{
+			Method: "POST", Target: sd.ControlURL,
+			Header: httpx.NewHeader("CONTENT-TYPE", `text/xml; charset="utf-8"`,
+				"SOAPACTION", `"`+sd.ServiceType+`#GetTime"`),
+			Body: []byte(getTime),
+		}, 501},
+		{"subscribe", &httpx.Request{
+			Method: "SUBSCRIBE", Target: sd.EventSubURL,
+			Header: httpx.NewHeader("CALLBACK", "<http://10.0.0.1:5000/event>",
+				"NT", "upnp:event", "TIMEOUT", "Second-1"),
+		}, 501},
+		{"unsubscribe", &httpx.Request{
+			Method: "UNSUBSCRIBE", Target: sd.EventSubURL,
+			Header: httpx.NewHeader("SID", "uuid:sub-10-0-0-2-1"),
+		}, 501},
 	}
-	eventCh := make(chan event, 4)
-	sub, err := cp.Subscribe(found, sd, func(sid string, seq int, vars map[string]string) {
-		eventCh <- event{sid, seq, vars}
-	})
-	if err != nil {
-		t.Fatalf("Subscribe: %v", err)
-	}
-	if dev.Subscribers() != 1 {
-		t.Errorf("subscribers = %d", dev.Subscribers())
-	}
-
-	sent := dev.NotifyStateChange("timer", map[string]string{"Time": "12:00:01"})
-	if sent != 1 {
-		t.Errorf("NotifyStateChange sent = %d", sent)
-	}
-	select {
-	case ev := <-eventCh:
-		if ev.sid != sub.SID || ev.vars["Time"] != "12:00:01" || ev.seq != 1 {
-			t.Errorf("event = %+v", ev)
+	for _, c := range cases {
+		resp, err := httpx.Do(clientHost, addr, c.req, time.Second)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no event delivered")
-	}
-
-	if err := sub.Renew(); err != nil {
-		t.Errorf("Renew: %v", err)
-	}
-
-	sub.Close()
-	if dev.Subscribers() != 0 {
-		t.Errorf("subscribers after close = %d", dev.Subscribers())
-	}
-	if sent := dev.NotifyStateChange("timer", map[string]string{"Time": "x"}); sent != 0 {
-		t.Errorf("notify after unsubscribe sent = %d", sent)
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: %s %s = %d, want %d", c.name, c.req.Method, c.req.Target, resp.StatusCode, c.want)
+		}
+		if sid := resp.Header.Get("SID"); sid != "" {
+			t.Errorf("%s: device issued SID %q", c.name, sid)
+		}
 	}
 }
 
@@ -371,16 +270,5 @@ func TestDuplicateDescriptionPortFails(t *testing.T) {
 	defer dev.Close()
 	if _, err := NewRootDevice(deviceHost, DeviceConfig{Kind: "light"}); err == nil {
 		t.Error("second device on same ports should fail")
-	}
-}
-
-func TestPropertySetRoundTrip(t *testing.T) {
-	vars := map[string]string{"Time": "12:00", "Alarm": "on&off"}
-	back, err := ParsePropertySet(marshalPropertySet(vars))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back["Time"] != "12:00" || back["Alarm"] != "on&off" {
-		t.Errorf("round trip = %+v", back)
 	}
 }

@@ -81,39 +81,6 @@ func (n *Node) ChildText(name string) string {
 	return strings.TrimSpace(c.Text)
 }
 
-// Find returns the first descendant (depth-first, including n itself) with
-// the given local name, or nil.
-func (n *Node) Find(name string) *Node {
-	if localName(n.Name) == name {
-		return n
-	}
-	for _, c := range n.Children {
-		if found := c.Find(name); found != nil {
-			return found
-		}
-	}
-	return nil
-}
-
-// FindAll returns every descendant (including n itself) with the given
-// local name, in document order.
-func (n *Node) FindAll(name string) []*Node {
-	var out []*Node
-	n.walk(func(c *Node) {
-		if localName(c.Name) == name {
-			out = append(out, c)
-		}
-	})
-	return out
-}
-
-func (n *Node) walk(fn func(*Node)) {
-	fn(n)
-	for _, c := range n.Children {
-		c.walk(fn)
-	}
-}
-
 // Marshal renders the tree back to XML with minimal formatting.
 func (n *Node) Marshal() []byte {
 	var b strings.Builder

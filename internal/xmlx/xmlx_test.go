@@ -170,15 +170,16 @@ func TestParseTree(t *testing.T) {
 	if got := dev.ChildText("friendlyName"); got != "Clock & Co" {
 		t.Errorf("friendlyName = %q", got)
 	}
-	services := root.FindAll("service")
-	if len(services) != 2 {
-		t.Fatalf("FindAll(service) = %d nodes", len(services))
+	list := dev.Child("serviceList")
+	if list == nil {
+		t.Fatal("no serviceList child")
+	}
+	services := list.Children
+	if len(services) != 2 || services[0].Name != "service" || services[1].Name != "service" {
+		t.Fatalf("serviceList children = %+v", services)
 	}
 	if got := services[1].ChildText("serviceType"); got != "t2" {
 		t.Errorf("second serviceType = %q", got)
-	}
-	if root.Find("nosuch") != nil {
-		t.Error("Find(nosuch) should be nil")
 	}
 	if root.Child("nosuch") != nil {
 		t.Error("Child(nosuch) should be nil")
@@ -193,7 +194,7 @@ func TestTreeNamespacePrefixes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if root.Find("Body") == nil {
+	if body := root.Child("Body"); body == nil || body.Name != "s:Body" {
 		t.Error("prefixed Body not found by local name")
 	}
 }

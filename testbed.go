@@ -123,16 +123,9 @@ func PaddedClockDevice(httpDelay time.Duration, ssdpCfg ssdp.ServerConfig) upnp.
 		Manufacturer:     "CyberGarage",
 		ModelName:        "Clock",
 		ModelDescription: DescriptionPadding(),
-		Services: []upnp.ServiceConfig{{
-			Kind: "timer",
-			Actions: map[string]upnp.ActionHandler{
-				"GetTime": func(*upnp.Action) ([]upnp.Arg, error) {
-					return []upnp.Arg{{Name: "CurrentTime", Value: "12:00:00"}}, nil
-				},
-			},
-		}},
-		SSDP:      ssdpCfg,
-		HTTPDelay: httpDelay,
+		Services:         []upnp.ServiceConfig{{Kind: "timer"}},
+		SSDP:             ssdpCfg,
+		HTTPDelay:        httpDelay,
 	}
 }
 
