@@ -118,7 +118,7 @@ func BenchmarkNativeDNSSD(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	q := dnssd.NewQuerier(clientHost, dnssd.QuerierConfig{})
+	q := dnssd.NewQuerier(clientHost)
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

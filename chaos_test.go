@@ -449,7 +449,7 @@ func TestChaosLossyLinkInterop(t *testing.T) {
 	// DNS-SD client → UPnP service: mDNS sends one query per Browse, so
 	// the client retries — exactly what a real resolver does on a lossy
 	// link.
-	q := dnssd.NewQuerier(cliHost, dnssd.QuerierConfig{})
+	q := dnssd.NewQuerier(cliHost)
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		insts, err := q.Browse(dnssd.ServiceType("clock"), 2*time.Second)

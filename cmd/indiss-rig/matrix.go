@@ -176,7 +176,8 @@ func rigClients() []rigClient {
 		{
 			name: "DNSSD",
 			find: func(cli *realnet.Stack, kind string, timeout time.Duration) (string, error) {
-				q := dnssd.NewQuerier(cli, dnssd.QuerierConfig{})
+				q := dnssd.NewQuerier(cli)
+				defer q.Close() // its group listener is a live 5353 socket
 				insts, err := q.Browse(dnssd.ServiceType(kind), timeout)
 				if err != nil {
 					return "", err

@@ -306,7 +306,7 @@ func fedClients() []fedClient {
 			name: "DNSSDClient",
 			sdp:  core.SDPDNSSD,
 			find: func(t *testing.T, host *simnet.Host) string {
-				q := dnssd.NewQuerier(host, dnssd.QuerierConfig{})
+				q := dnssd.NewQuerier(host)
 				insts, err := q.Browse(dnssd.ServiceType("clock"), 8*time.Second)
 				if err != nil {
 					t.Fatalf("DNS-SD Browse: %v", err)

@@ -109,14 +109,6 @@ func (f *SelfFilter) Mark(addr netapi.Addr) {
 	f.addrs[addr] = struct{}{}
 }
 
-// Unmark forgets an endpoint, e.g. when a per-query socket closes and its
-// ephemeral port may be reused by a native stack on the same host.
-func (f *SelfFilter) Unmark(addr netapi.Addr) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.addrs, addr)
-}
-
 // Has reports whether the endpoint is INDISS-owned. It runs for every
 // detected datagram and does not allocate.
 func (f *SelfFilter) Has(addr netapi.Addr) bool {

@@ -188,7 +188,7 @@ func TestResponderAnswersBrowse(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q := NewQuerier(cliHost, QuerierConfig{})
+	q := NewQuerier(cliHost)
 	insts, err := q.Browse(ServiceType("clock"), 2*time.Second)
 	if err != nil {
 		t.Fatalf("Browse: %v", err)
@@ -222,7 +222,7 @@ func TestKnownAnswerSuppression(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q := NewQuerier(cliHost, QuerierConfig{})
+	q := NewQuerier(cliHost)
 	if _, err := q.Browse(ServiceType("clock"), 2*time.Second); err != nil {
 		t.Fatalf("first Browse: %v", err)
 	}
@@ -311,13 +311,30 @@ func TestMetaQueryEnumeratesTypes(t *testing.T) {
 		}
 	}
 
-	q := NewQuerier(cliHost, QuerierConfig{})
-	types, err := q.BrowseTypes(2 * time.Second)
+	conn, err := cliHost.ListenUDP(0)
 	if err != nil {
-		t.Fatalf("BrowseTypes: %v", err)
+		t.Fatal(err)
 	}
-	if len(types) != 2 || types[0] != "_clock._tcp.local." || types[1] != "_printer._tcp.local." {
-		t.Errorf("types = %v", types)
+	query := &Message{ID: 9, Questions: []Question{{Name: MetaQuery, Type: TypePTR}}}
+	if err := conn.WriteTo(query.Marshal(), simnet.Addr{IP: MulticastGroup, Port: Port}); err != nil {
+		t.Fatal(err)
+	}
+	dg, err := conn.Recv(2 * time.Second)
+	if err != nil {
+		t.Fatalf("no answer to the meta-query: %v", err)
+	}
+	msg, err := Parse(dg.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var types []string
+	for _, r := range msg.Answers {
+		if r.Type == TypePTR && nameEqual(r.Name, MetaQuery) {
+			types = append(types, r.Target)
+		}
+	}
+	if msg.ID != 9 || len(types) != 2 || types[0] != "_clock._tcp.local." || types[1] != "_printer._tcp.local." {
+		t.Errorf("meta-query answer id %d, types %v", msg.ID, types)
 	}
 }
 

@@ -10,24 +10,6 @@ import (
 	"indiss/internal/netapi"
 )
 
-// QuerierConfig tunes a Querier.
-type QuerierConfig struct {
-	// Timeout bounds one Browse when the caller passes none.
-	Timeout time.Duration
-	// ProcessingDelay models a native stack's per-message cost.
-	ProcessingDelay time.Duration
-	// MarkSelf/UnmarkSelf, when set, are told about every ephemeral
-	// query socket the querier opens and closes — how the INDISS unit
-	// keeps the monitor from re-detecting its own queries.
-	MarkSelf   func(netapi.Addr)
-	UnmarkSelf func(netapi.Addr)
-	// Ignore, when set, keeps matching instances out of the cache
-	// entirely — how the INDISS unit refuses to cache bridge-composed
-	// instances, whose presence would otherwise satisfy a Browse that
-	// only native knowledge should answer.
-	Ignore func(Instance) bool
-}
-
 // Instance is one resolved service instance.
 type Instance struct {
 	// Name is the full instance name ("Clock._clock._tcp.local.").
@@ -65,7 +47,6 @@ type cacheEntry struct {
 // TTL.
 type Querier struct {
 	host netapi.Stack
-	cfg  QuerierConfig
 
 	listener netapi.PacketConn
 	wg       sync.WaitGroup
@@ -76,11 +57,8 @@ type Querier struct {
 }
 
 // NewQuerier builds a querier on host.
-func NewQuerier(host netapi.Stack, cfg QuerierConfig) *Querier {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Second
-	}
-	q := &Querier{host: host, cfg: cfg, cache: make(map[string]map[string]*cacheEntry)}
+func NewQuerier(host netapi.Stack) *Querier {
+	q := &Querier{host: host, cache: make(map[string]map[string]*cacheEntry)}
 	// Best-effort passive listener; the purely-receiving socket emits
 	// nothing, so it needs no self-marking. Without it the querier
 	// still works, it just cannot hear goodbyes between browses.
@@ -128,164 +106,50 @@ func (q *Querier) listen(conn netapi.PacketConn) {
 
 // Browse queries one service type ("_clock._tcp.local.") and returns
 // every instance heard before the timeout, merged with still-live cached
-// knowledge. It returns as soon as at least one instance is known.
+// knowledge. It returns as soon as at least one instance is known, after
+// a 10 ms drain so that same-link responders all land.
 func (q *Querier) Browse(service string, timeout time.Duration) ([]Instance, error) {
-	return q.BrowseEach([]string{service}, timeout)
-}
-
-// BrowseEach browses several service types with one query message (mDNS
-// permits multiple questions per query), one socket and one shared
-// timeout — an absent type costs nothing when another type answers. The
-// INDISS unit uses it to ask for a kind's _tcp and _udp forms at once.
-func (q *Querier) BrowseEach(services []string, timeout time.Duration) ([]Instance, error) {
-	if timeout <= 0 {
-		timeout = q.cfg.Timeout
-	}
-	canon := make([]string, len(services))
-	var known []Record
-	questions := make([]Question, len(services))
-	for i, service := range services {
-		canon[i] = CanonicalName(service)
-		questions[i] = Question{Name: canon[i], Type: TypePTR}
-		known = append(known, q.cachedRecords(canon[i])...)
-	}
+	service = CanonicalName(service)
+	known := q.cachedRecords(service)
 
 	conn, err := q.host.ListenUDP(0)
 	if err != nil {
 		return nil, fmt.Errorf("dnssd querier: %w", err)
 	}
-	if q.cfg.MarkSelf != nil {
-		q.cfg.MarkSelf(conn.LocalAddr())
-	}
-	defer func() {
-		conn.Close()
-		if q.cfg.UnmarkSelf != nil {
-			q.cfg.UnmarkSelf(conn.LocalAddr())
-		}
-	}()
+	defer conn.Close()
 
-	query := &Message{Questions: questions, Answers: known}
-	if q.cfg.ProcessingDelay > 0 {
-		netapi.SleepPrecise(q.cfg.ProcessingDelay)
-	}
+	query := &Message{Questions: []Question{{Name: service, Type: TypePTR}}, Answers: known}
 	if err := conn.WriteTo(query.Marshal(), netapi.Addr{IP: MulticastGroup, Port: Port}); err != nil {
 		return nil, fmt.Errorf("dnssd querier: %w", err)
 	}
 
-	live := func() []Instance {
-		var out []Instance
-		for _, service := range canon {
-			out = append(out, q.liveInstances(service)...)
-		}
-		return out
-	}
 	// Wait until at least one instance is known. With a warm cache that
 	// is immediate — responders suppress what the query already listed,
 	// so silence is expected and the cache is the answer.
 	deadline := time.Now().Add(timeout)
-	for len(known) == 0 && len(live()) == 0 {
+	for len(known) == 0 && len(q.liveInstances(service)) == 0 {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
 			return nil, netapi.ErrTimeout
 		}
-		if !q.awaitOne(conn, canon, remaining) {
+		if !q.awaitOne(conn, service, remaining) {
 			return nil, netapi.ErrTimeout
 		}
 	}
 	// Drain the response burst so same-link responders all land.
-	for q.awaitOne(conn, canon, 10*time.Millisecond) {
+	for q.awaitOne(conn, service, 10*time.Millisecond) {
 	}
-	insts := live()
+	insts := q.liveInstances(service)
 	if len(insts) == 0 {
 		return nil, netapi.ErrTimeout
 	}
 	return insts, nil
 }
 
-// BrowseTypes runs the RFC 6763 §9 meta-query and returns the service
-// type names present on the link.
-func (q *Querier) BrowseTypes(timeout time.Duration) ([]string, error) {
-	if timeout <= 0 {
-		timeout = q.cfg.Timeout
-	}
-	conn, err := q.host.ListenUDP(0)
-	if err != nil {
-		return nil, fmt.Errorf("dnssd querier: %w", err)
-	}
-	if q.cfg.MarkSelf != nil {
-		q.cfg.MarkSelf(conn.LocalAddr())
-	}
-	defer func() {
-		conn.Close()
-		if q.cfg.UnmarkSelf != nil {
-			q.cfg.UnmarkSelf(conn.LocalAddr())
-		}
-	}()
-	query := &Message{Questions: []Question{{Name: MetaQuery, Type: TypePTR}}}
-	if err := conn.WriteTo(query.Marshal(), netapi.Addr{IP: MulticastGroup, Port: Port}); err != nil {
-		return nil, fmt.Errorf("dnssd querier: %w", err)
-	}
-	types := map[string]string{}
-	deadline := time.Now().Add(timeout)
-	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			break
-		}
-		dg, err := conn.Recv(remaining)
-		if err != nil {
-			break
-		}
-		msg, err := Parse(dg.Payload)
-		if err != nil || !msg.Response {
-			continue
-		}
-		for i := range msg.Answers {
-			r := &msg.Answers[i]
-			if r.Type == TypePTR && nameEqual(r.Name, MetaQuery) && r.TTL > 0 {
-				types[strings.ToLower(r.Target)] = CanonicalName(r.Target)
-			}
-		}
-		if len(types) > 0 {
-			// Drain the burst, then return what the link offered.
-			for q.drainTypes(conn, types) {
-			}
-			break
-		}
-	}
-	if len(types) == 0 {
-		return nil, netapi.ErrTimeout
-	}
-	out := make([]string, 0, len(types))
-	for _, t := range types {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-func (q *Querier) drainTypes(conn netapi.PacketConn, types map[string]string) bool {
-	dg, err := conn.Recv(10 * time.Millisecond)
-	if err != nil {
-		return false
-	}
-	msg, err := Parse(dg.Payload)
-	if err != nil || !msg.Response {
-		return true
-	}
-	for i := range msg.Answers {
-		r := &msg.Answers[i]
-		if r.Type == TypePTR && nameEqual(r.Name, MetaQuery) && r.TTL > 0 {
-			types[strings.ToLower(r.Target)] = CanonicalName(r.Target)
-		}
-	}
-	return true
-}
-
-// awaitOne receives one datagram and absorbs any instances matching the
-// browsed services into the cache; it reports false on timeout or
-// socket close.
-func (q *Querier) awaitOne(conn netapi.PacketConn, services []string, timeout time.Duration) bool {
+// awaitOne receives one datagram and absorbs any instances of the
+// browsed service into the cache; it reports false on timeout or socket
+// close.
+func (q *Querier) awaitOne(conn netapi.PacketConn, service string, timeout time.Duration) bool {
 	if timeout <= 0 {
 		timeout = time.Millisecond
 	}
@@ -297,15 +161,9 @@ func (q *Querier) awaitOne(conn netapi.PacketConn, services []string, timeout ti
 	if err != nil || !msg.Response {
 		return true
 	}
-	if q.cfg.ProcessingDelay > 0 {
-		netapi.SleepPrecise(q.cfg.ProcessingDelay)
-	}
 	for _, inst := range InstancesFromMessage(msg) {
-		for _, service := range services {
-			if nameEqual(inst.Service, service) {
-				q.store(inst)
-				break
-			}
+		if nameEqual(inst.Service, service) {
+			q.store(inst)
 		}
 	}
 	return true
@@ -314,9 +172,6 @@ func (q *Querier) awaitOne(conn netapi.PacketConn, services []string, timeout ti
 // store absorbs one instance into the known-answer cache; TTL 0 is a
 // goodbye and evicts.
 func (q *Querier) store(inst Instance) {
-	if q.cfg.Ignore != nil && q.cfg.Ignore(inst) {
-		return
-	}
 	key := strings.ToLower(CanonicalName(inst.Service))
 	name := strings.ToLower(inst.Name)
 	q.mu.Lock()

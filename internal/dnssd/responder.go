@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"indiss/internal/netapi"
 )
@@ -15,9 +14,6 @@ type ResponderConfig struct {
 	// Hostname is the responder's "host.local." name; empty derives one
 	// from the host's IP ("host-10-0-0-2.local.").
 	Hostname string
-	// ProcessingDelay models a native stack's per-message cost, like
-	// slp.AgentConfig.ProcessingDelay.
-	ProcessingDelay time.Duration
 }
 
 // Registration is one service instance a Responder advertises.
@@ -180,9 +176,6 @@ func (r *Responder) handleQuery(msg *Message, src netapi.Addr) {
 	if msg.ID != 0 {
 		resp.ID = msg.ID // legacy queriers match answers by id
 	}
-	if r.cfg.ProcessingDelay > 0 {
-		netapi.SleepPrecise(r.cfg.ProcessingDelay)
-	}
 	dst := netapi.Addr{IP: MulticastGroup, Port: Port}
 	if unicast {
 		dst = src
@@ -334,9 +327,6 @@ func (r *Responder) announce(reg *Registration, goodbye bool) {
 	}
 	msg := &Message{Response: true, Authoritative: true}
 	r.appendRegistration(msg, reg, ttl)
-	if r.cfg.ProcessingDelay > 0 {
-		netapi.SleepPrecise(r.cfg.ProcessingDelay)
-	}
 	_ = r.conn.WriteTo(msg.Marshal(), netapi.Addr{IP: MulticastGroup, Port: Port})
 }
 

@@ -1,7 +1,8 @@
 package jini
 
 // This file exposes the minimal packet-level surface INDISS's Jini unit
-// needs to peek at monitor-captured datagrams.
+// needs to peek at monitor-captured datagrams and to send its own
+// discovery request.
 
 // PacketKind classifies a raw Jini discovery datagram.
 type PacketKind uint8
@@ -29,6 +30,13 @@ func OpenPacket(data []byte) (PacketKind, *PacketReader, error) {
 		return 0, nil, err
 	}
 	return PacketKind(kind), &PacketReader{r: r}, nil
+}
+
+// RequestPacket encodes a multicast discovery request asking the lookup
+// services of groups (empty: any) to announce themselves to
+// responsePort on the sender's host.
+func RequestPacket(groups []string, responsePort int) ([]byte, error) {
+	return marshalRequest(request{Groups: groups, ResponsePort: responsePort})
 }
 
 // ParseRequestPacket decodes a multicast discovery request body.

@@ -11,8 +11,6 @@ import (
 type ClientConfig struct {
 	// Groups of interest; empty means any.
 	Groups []string
-	// ProcessingDelay models per-message stack overhead.
-	ProcessingDelay time.Duration
 }
 
 // Client performs Jini discovery and lookup on behalf of an application —
@@ -28,47 +26,31 @@ func NewClient(host netapi.Stack, cfg ClientConfig) *Client {
 	return &Client{host: host, cfg: cfg}
 }
 
-func (c *Client) delay() {
-	if c.cfg.ProcessingDelay > 0 {
-		netapi.SleepPrecise(c.cfg.ProcessingDelay)
-	}
-}
-
 // DiscoverLookup runs the multicast request protocol and returns the first
 // lookup service heard.
 func (c *Client) DiscoverLookup(timeout time.Duration) (Locator, error) {
-	loc, _, err := c.DiscoverLookupGroups(timeout)
-	return loc, err
-}
-
-// DiscoverLookupGroups is DiscoverLookup returning also the groups the
-// answering lookup service announced — callers that must distinguish
-// kinds of registrars (the INDISS bridge tags its own) need them.
-func (c *Client) DiscoverLookupGroups(timeout time.Duration) (Locator, []string, error) {
 	conn, err := c.host.ListenUDP(0)
 	if err != nil {
-		return Locator{}, nil, fmt.Errorf("jini client: %w", err)
+		return Locator{}, fmt.Errorf("jini client: %w", err)
 	}
 	defer conn.Close()
 
-	req := request{Groups: c.cfg.Groups, ResponsePort: conn.LocalAddr().Port}
-	data, err := marshalRequest(req)
+	data, err := RequestPacket(c.cfg.Groups, conn.LocalAddr().Port)
 	if err != nil {
-		return Locator{}, nil, err
+		return Locator{}, err
 	}
-	c.delay()
 	if err := conn.WriteTo(data, netapi.Addr{IP: RequestGroup, Port: Port}); err != nil {
-		return Locator{}, nil, err
+		return Locator{}, err
 	}
 	deadline := time.Now().Add(timeout)
 	for {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			return Locator{}, nil, netapi.ErrTimeout
+			return Locator{}, netapi.ErrTimeout
 		}
 		dg, err := conn.Recv(remaining)
 		if err != nil {
-			return Locator{}, nil, err
+			return Locator{}, err
 		}
 		kind, r, err := openPacket(dg.Payload)
 		if err != nil || kind != kindAnnounce {
@@ -78,8 +60,7 @@ func (c *Client) DiscoverLookupGroups(timeout time.Duration) (Locator, []string,
 		if err != nil {
 			continue
 		}
-		c.delay()
-		return ann.Locator, ann.Groups, nil
+		return ann.Locator, nil
 	}
 }
 
@@ -134,7 +115,6 @@ func (c *Client) Register(loc Locator, item ServiceItem, timeout time.Duration) 
 	if w.err != nil {
 		return ServiceID{}, w.err
 	}
-	c.delay()
 	resp, err := c.exchange(loc, w.buf, timeout)
 	if err != nil {
 		return ServiceID{}, err
@@ -162,7 +142,6 @@ func (c *Client) Lookup(loc Locator, tmpl ServiceTemplate, timeout time.Duration
 	if w.err != nil {
 		return nil, w.err
 	}
-	c.delay()
 	resp, err := c.exchange(loc, w.buf, timeout)
 	if err != nil {
 		return nil, err
@@ -179,7 +158,6 @@ func (c *Client) Lookup(loc Locator, tmpl ServiceTemplate, timeout time.Duration
 	if r.err != nil {
 		return nil, r.err
 	}
-	c.delay()
 	return items, nil
 }
 

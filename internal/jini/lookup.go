@@ -18,8 +18,6 @@ type LookupConfig struct {
 	// AnnounceInterval spaces multicast announcements. Zero announces
 	// only at boot.
 	AnnounceInterval time.Duration
-	// ProcessingDelay models per-message stack overhead.
-	ProcessingDelay time.Duration
 	// UnicastPort is the TCP port of unicast discovery (default 4160).
 	UnicastPort int
 	// Items, when set, supplies items the lookup service serves beside
@@ -123,12 +121,6 @@ func (ls *LookupService) Count() int {
 	return len(ls.items)
 }
 
-func (ls *LookupService) delay() {
-	if ls.cfg.ProcessingDelay > 0 {
-		netapi.SleepPrecise(ls.cfg.ProcessingDelay)
-	}
-}
-
 // groupsOverlap implements Jini group matching: an empty requested set
 // means "any group".
 func groupsOverlap(requested, served []string) bool {
@@ -162,7 +154,6 @@ func (ls *LookupService) serveUDP() {
 		if !groupsOverlap(req.Groups, ls.cfg.groups()) {
 			continue
 		}
-		ls.delay()
 		// Unicast announcement back to the requester's response port.
 		data, err := marshalAnnouncement(announcement{
 			Locator: ls.Locator(),
@@ -203,7 +194,6 @@ func (ls *LookupService) handleConn(s netapi.Stream) {
 	if err != nil {
 		return
 	}
-	ls.delay()
 	var resp []byte
 	switch kind {
 	case kindRegister:

@@ -2,10 +2,12 @@ package units
 
 import (
 	"crypto/md5"
+	"fmt"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"indiss/internal/core"
@@ -94,12 +96,23 @@ type pending struct {
 	expires time.Time
 }
 
-// base carries the plumbing every unit shares: context, pending-request
-// table, re-advertisement flag, lifecycle, and the composer dispatch that
-// enforces the pooled-envelope release protocol in one place.
+// base carries the plumbing every unit shares: context, socket,
+// pending-request table, re-advertisement flag, lifecycle, and the
+// composer dispatch that enforces the pooled-envelope release protocol in
+// one place.
 type base struct {
 	name string
 	sdp  core.SDP
+
+	// conn is the unit's one socket, bound in start and marked self: the
+	// unit answers native requesters and sends its native follow-up
+	// queries from it, and the unit's one reader takes what comes back.
+	// stop closes when the unit stops, ending its loops and the queries
+	// waiting on its reader. release, when set, closes what else the
+	// unit serves from.
+	conn    netapi.PacketConn
+	stop    chan struct{}
+	release func()
 
 	// onRequest and onOther are the unit's composer halves, bound once
 	// at construction (immutable afterwards, so dispatch reads them
@@ -129,8 +142,53 @@ func newBase(name string, sdp core.SDP) *base {
 	return &base{
 		name:     name,
 		sdp:      sdp,
+		stop:     make(chan struct{}),
 		pendings: make(map[string]*pending),
 	}
+}
+
+// start binds the unit's socket, marks it self so the monitor never
+// re-detects what the unit sends, and attaches ctx.
+func (b *base) start(ctx *core.UnitContext) error {
+	conn, err := ctx.Stack.ListenUDP(0)
+	if err != nil {
+		return fmt.Errorf("%s: %w", b.name, err)
+	}
+	ctx.Self.Mark(conn.LocalAddr())
+	b.conn = conn
+	b.attach(ctx)
+	return nil
+}
+
+// run starts the unit's reader and its background loops, then subscribes
+// the unit to the bus.
+func (b *base) run(read func(), loops ...func()) {
+	b.spawn(read)
+	for _, loop := range loops {
+		b.spawn(loop)
+	}
+	b.context().Bus.Subscribe(b.name, events.ListenerFunc(b.OnEvents))
+}
+
+// Stop implements core.Unit, in one order for every unit: close stop, so
+// loops end and no query waits on; unsubscribe; close the socket, which
+// ends the reader, and release the rest; wait for every goroutine the
+// unit spawned.
+func (b *base) Stop() {
+	if !b.markStopped() {
+		return
+	}
+	close(b.stop)
+	if ctx := b.context(); ctx != nil {
+		ctx.Bus.Unsubscribe(b.name)
+	}
+	if b.conn != nil {
+		b.conn.Close()
+	}
+	if b.release != nil {
+		b.release()
+	}
+	b.wg.Wait()
 }
 
 // SDP implements core.Unit.
@@ -264,8 +322,16 @@ func (b *base) spawn(fn func()) bool {
 	return true
 }
 
-// wait blocks until all spawned work drains.
-func (b *base) wait() { b.wg.Wait() }
+// nextID numbers a unit's native queries from c, skipping 0. Queries in
+// flight at once hold distinct ids, which is what lets the unit's reader
+// tell their answers apart.
+func nextID(c *atomic.Uint32) uint16 {
+	for {
+		if id := uint16(c.Add(1)); id != 0 {
+			return id
+		}
+	}
+}
 
 // replies routes the answers arriving on a unit's socket to the native
 // follow-up queries waiting for them (paper Figure 4 step ②): the SLP

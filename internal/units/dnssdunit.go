@@ -1,10 +1,11 @@
 package units
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"indiss/internal/core"
@@ -23,9 +24,23 @@ import (
 type DNSSDUnit struct {
 	*base
 
-	conn    netapi.PacketConn // composing socket, marked self
-	querier *dnssd.Querier
-	stop    chan struct{}
+	// id numbers the unit's follow-up queries. followUps holds those
+	// sent in the last queryTimeout by message id, which responders
+	// echo; swept is when expired entries were last dropped.
+	id        atomic.Uint32
+	mu        sync.Mutex
+	followUps map[uint16]followUp
+	swept     time.Time
+}
+
+// followUp is one PTR query the unit sent for a foreign request.
+type followUp struct {
+	reqID string
+	// types is set on the RFC 6763 §9 meta-query only: it holds the
+	// service types its answers listed, each asked for once however many
+	// responders list it. Only the reader touches it.
+	types   map[string]bool
+	expires time.Time
 }
 
 // interface compliance
@@ -34,8 +49,8 @@ var _ core.Unit = (*DNSSDUnit)(nil)
 // NewDNSSDUnit builds an unstarted DNS-SD unit.
 func NewDNSSDUnit() *DNSSDUnit {
 	u := &DNSSDUnit{
-		base: newBase("dnssd-unit", core.SDPDNSSD),
-		stop: make(chan struct{}),
+		base:      newBase("dnssd-unit", core.SDPDNSSD),
+		followUps: make(map[uint16]followUp),
 	}
 	u.onRequest = u.queryNative
 	u.onOther = u.composeOther
@@ -44,48 +59,11 @@ func NewDNSSDUnit() *DNSSDUnit {
 
 // Start implements core.Unit.
 func (u *DNSSDUnit) Start(ctx *core.UnitContext) error {
-	conn, err := ctx.Stack.ListenUDP(0)
-	if err != nil {
-		return fmt.Errorf("dnssd unit: %w", err)
+	if err := u.start(ctx); err != nil {
+		return err
 	}
-	ctx.Self.Mark(conn.LocalAddr())
-	u.conn = conn
-	// The querier's one-shot sockets are INDISS emissions; marking them
-	// keeps the monitor from re-detecting the unit's own queries. Its
-	// cache must hold native knowledge only: a bridge-composed instance
-	// (ours or a peer gateway's) in the cache would satisfy a Browse
-	// that exists to find native responders.
-	u.querier = dnssd.NewQuerier(ctx.Stack, dnssd.QuerierConfig{
-		Timeout:    queryTimeout,
-		MarkSelf:   ctx.Self.Mark,
-		UnmarkSelf: ctx.Self.Unmark,
-		Ignore: func(inst dnssd.Instance) bool {
-			return inst.Text["origin"] != ""
-		},
-	})
-	u.attach(ctx)
-	ctx.Bus.Subscribe(u.name, events.ListenerFunc(u.OnEvents))
-	u.spawn(u.announceLoop)
+	u.run(u.readReplies, u.announceLoop)
 	return nil
-}
-
-// Stop implements core.Unit.
-func (u *DNSSDUnit) Stop() {
-	if !u.markStopped() {
-		return
-	}
-	close(u.stop)
-	ctx := u.context()
-	if ctx != nil {
-		ctx.Bus.Unsubscribe(u.name)
-	}
-	if u.conn != nil {
-		u.conn.Close()
-	}
-	if u.querier != nil {
-		u.querier.Close()
-	}
-	u.wait()
 }
 
 // HandleNative implements core.Unit: raw mDNS datagrams from the monitor.
@@ -199,45 +177,101 @@ func (u *DNSSDUnit) recordFromInstance(kind string, inst dnssd.Instance) core.Se
 }
 
 // queryNative acts as an mDNS querier on behalf of a foreign requester:
-// browse the asked service type (or, for a browse-all request, the types
-// the meta-query enumerates) and publish each resolved instance as a
-// response stream.
+// it asks for the kind's service type, in both transport forms, or, for
+// a browse-all request, runs the meta-query. It does not wait: the
+// unit's reader publishes each answer as it lands.
 func (u *DNSSDUnit) queryNative(s events.Stream) {
-	ctx := u.context()
 	reqID := s.FirstData(events.ReqID)
 	kind := s.FirstData(events.ServiceType)
-
-	if ctx.NoCache {
-		// NoCache promises fresh native exchanges; that includes the
-		// querier's known-answer cache, not just the service view.
-		u.querier.Flush()
+	if kind == "" {
+		u.ask(followUp{reqID: reqID, types: map[string]bool{}}, dnssd.MetaQuery)
+		return
 	}
 	// Both transport forms ride in one query message (mDNS permits
 	// multiple questions): the parser accepts _udp service types, so
-	// the active browse must find _udp-registered services too, without
-	// a second socket or timeout.
-	services := []string{dnssdTypeFromKind(kind), dnssdUDPTypeFromKind(kind)}
-	if kind == "" {
-		types, err := u.querier.BrowseTypes(queryTimeout)
+	// the follow-up must find _udp-registered services too.
+	u.ask(followUp{reqID: reqID}, dnssdTypeFromKind(kind), dnssdUDPTypeFromKind(kind))
+}
+
+// ask multicasts one PTR query for names from the unit's socket, under a
+// fresh message id that f answers to for queryTimeout.
+func (u *DNSSDUnit) ask(f followUp, names ...string) {
+	now := time.Now()
+	f.expires = now.Add(queryTimeout)
+	id := nextID(&u.id)
+	u.mu.Lock()
+	if now.Sub(u.swept) >= queryTimeout {
+		for old, g := range u.followUps {
+			if !g.expires.After(now) {
+				delete(u.followUps, old)
+			}
+		}
+		u.swept = now
+	}
+	u.followUps[id] = f
+	u.mu.Unlock()
+
+	query := &dnssd.Message{ID: id, Questions: make([]dnssd.Question, len(names))}
+	for i, name := range names {
+		query.Questions[i] = dnssd.Question{Name: name, Type: dnssd.TypePTR}
+	}
+	u.context().Profile.Delay()
+	_ = u.conn.WriteTo(query.Marshal(), netapi.Addr{IP: dnssd.MulticastGroup, Port: dnssd.Port})
+}
+
+// readReplies handles the answers to the unit's follow-up queries as
+// they land, until Stop closes the socket. mDNS answers come from any
+// number of responders and each is complete in itself, so every answer
+// is published, none waits for another. An answer to the meta-query
+// is followed by one query for the service types it lists. An answer
+// under an id no live follow-up holds is dropped, and so are instances
+// a bridge composed (origin-tagged) and instances without an address.
+func (u *DNSSDUnit) readReplies() {
+	for {
+		dg, err := u.conn.Recv(0)
 		if err != nil {
-			return // no native DNS-SD responders present
+			return
 		}
-		services = types
+		msg, err := dnssd.Parse(dg.Payload)
+		if err != nil || !msg.Response {
+			continue
+		}
+		u.mu.Lock()
+		f, ok := u.followUps[msg.ID]
+		u.mu.Unlock()
+		if !ok || !f.expires.After(time.Now()) {
+			continue
+		}
+		if f.types != nil {
+			var types []string
+			for _, r := range msg.Answers {
+				key := strings.ToLower(r.Target)
+				if r.Type == dnssd.TypePTR && r.TTL > 0 && strings.EqualFold(r.Name, dnssd.MetaQuery) && !f.types[key] {
+					f.types[key] = true
+					types = append(types, r.Target)
+				}
+			}
+			if len(types) > 0 {
+				u.ask(followUp{reqID: f.reqID}, types...)
+			}
+			continue
+		}
+		u.publishAnswer(f.reqID, msg)
 	}
-	insts, err := u.querier.BrowseEach(services, queryTimeout)
-	if err != nil {
-		return
-	}
-	for _, inst := range insts {
-		if inst.Text["origin"] != "" {
-			continue // a peer bridge's instance, not native knowledge
+}
+
+// publishAnswer puts each native instance of one answer into the view
+// and publishes it as a response to reqID.
+func (u *DNSSDUnit) publishAnswer(reqID string, msg *dnssd.Message) {
+	ctx := u.context()
+	ctx.Profile.Delay()
+	for _, inst := range dnssd.InstancesFromMessage(msg) {
+		kind := kindFromDNSSDType(inst.Service)
+		if inst.Text["origin"] != "" || inst.IP == "" || inst.TTL <= 0 || kind == "" {
+			continue
 		}
-		if inst.IP == "" {
-			continue // unresolved (no A record): no usable endpoint
-		}
-		rec := u.recordFromInstance(kindFromDNSSDType(inst.Service), inst)
+		rec := u.recordFromInstance(kind, inst)
 		ctx.View.Put(rec)
-		ctx.Profile.Delay()
 		u.publish(responseStream(core.SDPDNSSD, reqID, rec,
 			events.E(events.DNSSDInstance, inst.Name),
 			events.E(events.DNSSDHost, inst.Host),
@@ -284,7 +318,7 @@ func (u *DNSSDUnit) composeAnswer(p *pending, recs []core.ServiceRecord) {
 	meta := strings.EqualFold(p.qname, dnssd.MetaQuery)
 	// Answer under the question's own name: a "_kind._udp.local." browse
 	// must get PTRs named "_kind._udp.local." or conformant clients
-	// (including this package's Querier) discard the mismatch.
+	// (dnssd.Querier among them) discard the mismatch.
 	qname := dnssd.CanonicalName(p.qname)
 	seenTypes := map[string]bool{}
 	for _, rec := range recs {

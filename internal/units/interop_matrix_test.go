@@ -170,7 +170,7 @@ func matrixClients() []matrixClient {
 			name: "DNSSDClient",
 			sdp:  core.SDPDNSSD,
 			find: func(t *testing.T, host *simnet.Host) string {
-				q := dnssd.NewQuerier(host, dnssd.QuerierConfig{})
+				q := dnssd.NewQuerier(host)
 				insts, err := q.Browse(dnssd.ServiceType("clock"), 8*time.Second)
 				if err != nil {
 					t.Fatalf("DNS-SD Browse: %v", err)
@@ -254,7 +254,7 @@ func TestBridgeKnownAnswerSuppression(t *testing.T) {
 	}
 	indissOn(t, gatewayHost, core.RoleGateway, core.SDPSLP, core.SDPDNSSD)
 
-	q := dnssd.NewQuerier(clientHost, dnssd.QuerierConfig{})
+	q := dnssd.NewQuerier(clientHost)
 	if _, err := q.Browse(dnssd.ServiceType("clock"), 5*time.Second); err != nil {
 		t.Fatalf("first Browse: %v", err)
 	}
@@ -395,7 +395,7 @@ func TestBrowseComposesEveryResponse(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = sys.Close() })
 
-	q := dnssd.NewQuerier(clientHost, dnssd.QuerierConfig{})
+	q := dnssd.NewQuerier(clientHost)
 	urls := map[string]bool{}
 	deadline := time.Now().Add(8 * time.Second)
 	for len(urls) < 2 {

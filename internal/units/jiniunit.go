@@ -41,6 +41,11 @@ type JiniUnitConfig struct {
 // lookup service: it answers multicast discovery requests like any
 // registrar, and serves the view's foreign services to Jini clients that
 // look them up.
+//
+// The unit's socket sends one multicast discovery request in Start, and
+// its reader adopts the native registrars that answer; registrars that
+// come up later announce themselves to the monitor. A native follow-up
+// query only reads what was adopted: it never discovers.
 type JiniUnit struct {
 	*base
 	cfg JiniUnitConfig
@@ -48,16 +53,20 @@ type JiniUnit struct {
 	registrar *jini.LookupService
 	client    *jini.Client
 
+	// started is when Start sent the discovery request; found closes on
+	// the first adoption.
+	started time.Time
+	found   chan struct{}
+
 	nativeMu sync.Mutex
-	// natives tracks every non-self lookup service heard announcing, by
-	// "host:port" — a production segment runs more than one registrar,
-	// and each must be polled or its services stay invisible.
+	// natives tracks every non-self lookup service heard announcing or
+	// answering, by "host:port" — a production segment runs more than
+	// one registrar, and each must be polled or its services stay
+	// invisible.
 	natives map[string]jini.Locator
 	// pulled maps each registrar to the URLs its last successful pull
 	// mirrored, so vanished items retract per registrar.
 	pulled map[string]map[string]struct{}
-
-	stop chan struct{}
 }
 
 // interface compliance
@@ -75,9 +84,9 @@ func NewJiniUnit(cfg JiniUnitConfig) *JiniUnit {
 		cfg.SyncInterval = 500 * time.Millisecond
 	}
 	u := &JiniUnit{
-		base: newBase("jini-unit", core.SDPJini),
-		cfg:  cfg,
-		stop: make(chan struct{}),
+		base:  newBase("jini-unit", core.SDPJini),
+		cfg:   cfg,
+		found: make(chan struct{}),
 	}
 	u.onRequest = u.queryNative
 	// Foreign knowledge reaches Jini clients through the view the
@@ -88,6 +97,9 @@ func NewJiniUnit(cfg JiniUnitConfig) *JiniUnit {
 
 // Start implements core.Unit.
 func (u *JiniUnit) Start(ctx *core.UnitContext) error {
+	if err := u.start(ctx); err != nil {
+		return err
+	}
 	// The registrar announces the bridge marker group alongside its
 	// real groups: invisible to native clients (group matching is by
 	// intersection, empty-means-any), but enough for a peer gateway's
@@ -106,36 +118,44 @@ func (u *JiniUnit) Start(ctx *core.UnitContext) error {
 		},
 	})
 	if err != nil {
+		u.conn.Close()
 		return fmt.Errorf("jini unit: %w", err)
 	}
-	// The registrar emits announcements and answers from UDP 4160 on
-	// this host; mark it so the monitor ignores the bridge's own
-	// traffic.
-	ctx.Self.Mark(netapi.Addr{IP: ctx.Stack.IP(), Port: jini.Port})
+	// The registrar announces from UDP 4160, which every lookup service
+	// on this host shares, so that address is not marked self: the
+	// monitor would drop a co-located native registrar's announcements
+	// with the bridge's own. parseAnnouncement drops the bridge's own by
+	// their marker group.
 	u.registrar = registrar
-	u.client = jini.NewClient(ctx.Stack, jini.ClientConfig{Groups: u.cfg.Groups})
-	u.attach(ctx)
-	ctx.Bus.Subscribe(u.name, events.ListenerFunc(u.OnEvents))
+	u.release = registrar.Close
+	u.client = jini.NewClient(ctx.Stack, jini.ClientConfig{})
+	var loops []func()
 	if u.cfg.SyncInterval > 0 {
-		u.spawn(u.syncLoop)
+		loops = append(loops, u.syncLoop)
+	}
+	u.started = time.Now()
+	u.run(u.readReplies, loops...)
+	// The registrars already up answer this one request; those that
+	// boot later announce themselves.
+	if req, err := jini.RequestPacket(u.cfg.Groups, u.conn.LocalAddr().Port); err == nil {
+		_ = u.conn.WriteTo(req, netapi.Addr{IP: jini.RequestGroup, Port: jini.Port})
 	}
 	return nil
 }
 
-// Stop implements core.Unit.
-func (u *JiniUnit) Stop() {
-	if !u.markStopped() {
-		return
+// readReplies adopts every registrar that answers the unit's discovery
+// request, through the filters of parseAnnouncement, until Stop closes
+// the socket.
+func (u *JiniUnit) readReplies() {
+	for {
+		dg, err := u.conn.Recv(0)
+		if err != nil {
+			return
+		}
+		if kind, r, err := jini.OpenPacket(dg.Payload); err == nil && kind == jini.KindAnnouncePacket {
+			u.parseAnnouncement(r)
+		}
 	}
-	close(u.stop)
-	ctx := u.context()
-	if ctx != nil {
-		ctx.Bus.Unsubscribe(u.name)
-	}
-	if u.registrar != nil {
-		u.registrar.Close()
-	}
-	u.wait()
 }
 
 // Registrar exposes the bridge registrar's locator, mainly for tests and
@@ -159,9 +179,8 @@ func (u *JiniUnit) HandleNative(det core.Detection) {
 	switch kind {
 	case jini.KindRequestPacket:
 		u.parseDiscoveryRequest(det)
-		_ = r
 	case jini.KindAnnouncePacket:
-		u.parseAnnouncement(r, det)
+		u.parseAnnouncement(r)
 	}
 }
 
@@ -176,10 +195,12 @@ func (u *JiniUnit) parseDiscoveryRequest(det core.Detection) {
 	))
 }
 
-// parseAnnouncement records native lookup services for later queries.
-// Bridge registrars — ours or a peer gateway's — announce the marker
-// group and are never adopted as native infrastructure.
-func (u *JiniUnit) parseAnnouncement(r *jini.PacketReader, det core.Detection) {
+// parseAnnouncement records native lookup services for later queries,
+// from the announcements the monitor hears and the answers to the unit's
+// discovery request. Bridge registrars — ours or a peer gateway's —
+// announce the marker group and are never adopted as native
+// infrastructure.
+func (u *JiniUnit) parseAnnouncement(r *jini.PacketReader) {
 	ann, groups, err := jini.ParseAnnouncementPacket(r)
 	if err != nil {
 		return
@@ -194,7 +215,6 @@ func (u *JiniUnit) parseAnnouncement(r *jini.PacketReader, det core.Detection) {
 	u.nativeMu.Lock()
 	u.adoptLocatorLocked(ann)
 	u.nativeMu.Unlock()
-	_ = det
 }
 
 // maxNativeLookups bounds how many distinct registrars the unit tracks —
@@ -216,6 +236,11 @@ func (u *JiniUnit) adoptLocatorLocked(loc jini.Locator) {
 		}
 	}
 	u.natives[locatorKey(loc)] = loc
+	select {
+	case <-u.found:
+	default:
+		close(u.found)
+	}
 }
 
 // dropLocatorLocked forgets a registrar (its pull failed: it is gone or
@@ -234,7 +259,7 @@ func (u *JiniUnit) queryNative(s events.Stream) {
 	reqID := s.FirstData(events.ReqID)
 	kind := s.FirstData(events.ServiceType)
 
-	loc, ok := u.findNativeLookup()
+	loc, ok := u.nativeLookup()
 	if !ok {
 		return // no native Jini infrastructure present
 	}
@@ -276,32 +301,23 @@ func isBridgeItem(item jini.ServiceItem) bool {
 	return false
 }
 
-// findNativeLookup returns a known native lookup locator, discovering one
-// if necessary (excluding the bridge's own registrar).
-func (u *JiniUnit) findNativeLookup() (jini.Locator, bool) {
-	u.nativeMu.Lock()
-	for _, loc := range u.natives {
-		u.nativeMu.Unlock()
-		return loc, true
+// nativeLookup returns an adopted native registrar. A query can overtake
+// the answers to the Start request, so until queryTimeout after Start a
+// query that finds none adopted waits for the first, or for Stop.
+func (u *JiniUnit) nativeLookup() (jini.Locator, bool) {
+	if wait := time.Until(u.started.Add(queryTimeout)); wait > 0 {
+		t := time.NewTimer(wait)
+		select {
+		case <-u.found:
+		case <-t.C:
+		case <-u.stop:
+		}
+		t.Stop()
 	}
-	u.nativeMu.Unlock()
-	own := u.registrar.Locator()
-	deadline := time.Now().Add(queryTimeout)
-	for time.Now().Before(deadline) {
-		found, groups, err := u.client.DiscoverLookupGroups(time.Until(deadline))
-		if err != nil {
-			return jini.Locator{}, false
-		}
-		if found.Host == own.Host && found.Port == own.Port {
-			continue // our own registrar answered; keep listening
-		}
-		if isBridgeRegistrar(groups) {
-			continue // a peer gateway's bridge registrar, not native infra
-		}
-		u.nativeMu.Lock()
-		u.adoptLocatorLocked(found)
-		u.nativeMu.Unlock()
-		return found, true
+	u.nativeMu.Lock()
+	defer u.nativeMu.Unlock()
+	for _, loc := range u.natives {
+		return loc, true
 	}
 	return jini.Locator{}, false
 }

@@ -12,6 +12,9 @@ import (
 	"time"
 
 	"indiss/internal/core"
+	"indiss/internal/dnssd"
+	"indiss/internal/events"
+	"indiss/internal/jini"
 	"indiss/internal/netapi"
 	"indiss/internal/simnet"
 	"indiss/internal/slp"
@@ -111,13 +114,13 @@ func TestRepliesRouter(t *testing.T) {
 	})
 }
 
-// coldGateway deploys a NoCache SLP+UPnP gateway on stack, so that every
-// foreign request becomes a native follow-up query.
+// coldGateway deploys a NoCache gateway running all four units on stack,
+// so that every foreign request becomes a native follow-up query in each
+// of the other three.
 func coldGateway(t *testing.T, stack netapi.Stack) *core.System {
 	t.Helper()
 	sys, err := core.NewSystem(stack, registry(), core.Config{
 		Role:    core.RoleGateway,
-		Units:   []core.SDP{core.SDPSLP, core.SDPUPnP},
 		NoCache: true,
 	})
 	if err != nil {
@@ -128,8 +131,12 @@ func coldGateway(t *testing.T, stack netapi.Stack) *core.System {
 }
 
 // thermometerURL is the native SLP service the cold-gateway tests bridge
-// to UPnP clients; the UPnP clock of clockDevice goes the other way.
-const thermometerURL = "service:thermometer://10.0.0.3:4005"
+// to UPnP clients; the UPnP clock of clockDevice goes the other way, and
+// the DNS-SD lamp of lampResponder to SLP clients.
+const (
+	thermometerURL = "service:thermometer://10.0.0.3:4005"
+	lampURL        = "service:lamp:dnssd://10.0.0.4:9000"
+)
 
 func thermometerAgent(t *testing.T, host *simnet.Host) {
 	t.Helper()
@@ -139,6 +146,22 @@ func thermometerAgent(t *testing.T, host *simnet.Host) {
 	}
 	t.Cleanup(sa.Close)
 	if err := sa.Register("service:thermometer", thermometerURL, time.Hour, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// lampResponder starts a native DNS-SD responder on host offering one
+// "lamp" instance on port 9000.
+func lampResponder(t *testing.T, host *simnet.Host) {
+	t.Helper()
+	r, err := dnssd.NewResponder(host, dnssd.ResponderConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	if err := r.Register(dnssd.Registration{
+		Instance: "Lamp-" + host.IP(), Service: dnssd.ServiceType("lamp"), Port: 9000,
+	}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -228,15 +251,16 @@ func TestRepliesConcurrentColdLookups(t *testing.T) {
 	}
 }
 
-// unitsOf returns the gateway's SLP and UPnP units.
-func unitsOf(t *testing.T, sys *core.System) (*SLPUnit, *UPnPUnit) {
+// unitsOf returns the gateway's SLP, UPnP and DNS-SD units.
+func unitsOf(t *testing.T, sys *core.System) (*SLPUnit, *UPnPUnit, *DNSSDUnit) {
 	t.Helper()
 	s, ok1 := sys.Unit(core.SDPSLP)
 	u, ok2 := sys.Unit(core.SDPUPnP)
-	if !ok1 || !ok2 {
-		t.Fatal("gateway lacks its SLP or UPnP unit")
+	d, ok3 := sys.Unit(core.SDPDNSSD)
+	if !ok1 || !ok2 || !ok3 {
+		t.Fatal("gateway lacks its SLP, UPnP or DNS-SD unit")
 	}
-	return s.(*SLPUnit), u.(*UPnPUnit)
+	return s.(*SLPUnit), u.(*UPnPUnit), d.(*DNSSDUnit)
 }
 
 // sendRaw writes payload from conn to dst, failing the test on error.
@@ -247,16 +271,18 @@ func sendRaw(t *testing.T, conn netapi.PacketConn, payload []byte, dst netapi.Ad
 	}
 }
 
-// TestRepliesDropStrays sends each unit a forged answer for the very key
-// its next query will wait on, before that query asks. The reader must
-// drop both, so the queries that follow take the native services'
-// answers, not the forgeries.
+// TestRepliesDropStrays sends the SLP, UPnP and DNS-SD units each a
+// forged answer for the very key its next query will wait on, before that
+// query asks. The readers must drop all three, so the queries that follow
+// take the native services' answers, not the forgeries.
 func TestRepliesDropStrays(t *testing.T) {
 	n := newNet(t)
 	clientHost := n.MustAddHost("client", "10.0.0.1")
 	clockDevice(t, n.MustAddHost("service", "10.0.0.2"))
 	thermometerAgent(t, n.MustAddHost("slp-service", "10.0.0.3"))
-	slpUnit, upnpUnit := unitsOf(t, coldGateway(t, n.MustAddHost("gateway", "10.0.0.9")))
+	lampResponder(t, n.MustAddHost("dnssd-service", "10.0.0.4"))
+	sys := coldGateway(t, n.MustAddHost("gateway", "10.0.0.9"))
+	slpUnit, upnpUnit, dnssdUnit := unitsOf(t, sys)
 	rogue, err := n.MustAddHost("rogue", "10.0.0.66").ListenUDP(0)
 	if err != nil {
 		t.Fatal(err)
@@ -302,6 +328,45 @@ func TestRepliesDropStrays(t *testing.T) {
 	}
 	upnpUnit.replies.done(sentinelST, ssdpSentinel)
 
+	// The DNS-SD reader publishes what answers a live follow-up, and puts
+	// it in the view first: the sentinel is a follow-up the test opens
+	// itself, and its answer is in the view once the forgery before it
+	// was handled.
+	mdnsAnswer := func(id uint16, kind, ip string) []byte {
+		instance := dnssd.InstanceName("Forged", dnssd.ServiceType(kind))
+		return (&dnssd.Message{ID: id, Response: true, Authoritative: true,
+			Answers: []dnssd.Record{{Name: dnssd.ServiceType(kind), Type: dnssd.TypePTR, TTL: 120, Target: instance}},
+			Additional: []dnssd.Record{
+				{Name: instance, Type: dnssd.TypeSRV, TTL: 120, Port: 1, Target: "forged.local."},
+				{Name: "forged.local.", Type: dnssd.TypeA, TTL: 120, IP: ip},
+			},
+		}).Marshal()
+	}
+	nextID := uint16(dnssdUnit.id.Load() + 1)
+	const sentinelID = 0xbeef
+	dnssdUnit.mu.Lock()
+	dnssdUnit.followUps[sentinelID] = followUp{reqID: "sentinel", expires: time.Now().Add(time.Hour)}
+	dnssdUnit.mu.Unlock()
+	sendRaw(t, rogue, mdnsAnswer(nextID, "lamp", "10.6.6.6"), dnssdUnit.conn.LocalAddr())
+	sendRaw(t, rogue, mdnsAnswer(sentinelID, "sentinel", "10.6.6.7"), dnssdUnit.conn.LocalAddr())
+	deadline := time.Now().Add(5 * time.Second)
+	for len(sys.View().Find("sentinel", time.Now())) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the DNS-SD unit's reader never published the sentinel")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// The DNS-SD unit's next query asks with nextID: this is the first
+	// lookup that crosses into DNS-SD.
+	rply, err := askSLP(clientHost, 2, "service:lamp", 5*time.Second)
+	if err != nil {
+		t.Fatalf("SLP client, DNS-SD lamp: %v", err)
+	}
+	if got := rply.URLs[0].URL; got != lampURL {
+		t.Errorf("SLP client got %q, want the native responder's %q", got, lampURL)
+	}
+
 	// The SLP unit's next query asks with nextXID.
 	cp := upnp.NewControlPoint(clientHost, upnp.ControlPointConfig{Timeout: 5 * time.Second})
 	dev, err := cp.Discover(upnp.TypeURN("thermometer", 1), 0)
@@ -312,12 +377,19 @@ func TestRepliesDropStrays(t *testing.T) {
 		t.Errorf("UPnP client got %q, want the native SA's %q", dev.Desc.ModelURL, thermometerURL)
 	}
 	// The UPnP unit's next query asks for clockST.
-	rply, err := askSLP(clientHost, 1, "service:clock", 5*time.Second)
+	rply, err = askSLP(clientHost, 1, "service:clock", 5*time.Second)
 	if err != nil {
 		t.Fatalf("SLP client: %v", err)
 	}
 	if got := rply.URLs[0].URL; !strings.HasPrefix(got, "service:clock:soap://10.0.0.2:") {
 		t.Errorf("SLP client got %q, want the native clock's endpoint", got)
+	}
+	for _, kind := range []string{"lamp", "clock", "thermometer"} {
+		for _, rec := range sys.View().Find(kind, time.Now()) {
+			if strings.Contains(rec.URL, "10.6.6.") {
+				t.Errorf("a forged answer reached the view: %+v", rec)
+			}
+		}
 	}
 }
 
@@ -334,34 +406,43 @@ func (s *countingStack) ListenUDP(port int) (netapi.PacketConn, error) {
 
 // TestRepliesBindNoSocketPerQuery: once started, the units send their
 // native queries from the sockets they own, so lookups through a NoCache
-// gateway bind no UDP socket at all.
+// gateway bind no UDP socket at all, though every lookup starts a
+// follow-up in each of the three other units.
 func TestRepliesBindNoSocketPerQuery(t *testing.T) {
 	const lookups = 8
 	n := newNet(t)
 	clientHost := n.MustAddHost("client", "10.0.0.1")
 	clockDevice(t, n.MustAddHost("service", "10.0.0.2"))
 	thermometerAgent(t, n.MustAddHost("slp-service", "10.0.0.3"))
+	lampResponder(t, n.MustAddHost("dnssd-service", "10.0.0.4"))
 	stack := &countingStack{Stack: n.MustAddHost("gateway", "10.0.0.9")}
 	coldGateway(t, stack)
 
 	before := stack.udpBinds.Load()
 	c := ssdp.NewClient(clientHost, ssdp.ClientConfig{})
 	for i := 0; i < lookups; i++ {
-		if _, err := askSLP(clientHost, uint16(i+1), "service:clock", 5*time.Second); err != nil {
+		if _, err := askSLP(clientHost, uint16(2*i+1), "service:clock", 5*time.Second); err != nil {
 			t.Fatalf("SLP lookup %d: %v", i, err)
 		}
 		if _, err := c.SearchFirst(upnp.TypeURN("thermometer", 1), 0, 5*time.Second); err != nil {
 			t.Fatalf("UPnP lookup %d: %v", i, err)
 		}
+		rply, err := askSLP(clientHost, uint16(2*i+2), "service:lamp", 5*time.Second)
+		if err != nil {
+			t.Fatalf("SLP lookup %d into DNS-SD: %v", i, err)
+		}
+		if got := rply.URLs[0].URL; got != lampURL {
+			t.Fatalf("SLP lookup %d into DNS-SD got %q, want %q", i, got, lampURL)
+		}
 	}
 	if got := stack.udpBinds.Load() - before; got != 0 {
-		t.Errorf("%d bridged lookups bound %d UDP sockets on the gateway, want 0", 2*lookups, got)
+		t.Errorf("%d bridged lookups bound %d UDP sockets on the gateway, want 0", 3*lookups, got)
 	}
 }
 
 // replyReaders matches the frame of a running unit reply reader in a
 // goroutine dump.
-var replyReaders = regexp.MustCompile(`units\.\(\*(SLP|UPnP)Unit\)\.readReplies\(`)
+var replyReaders = regexp.MustCompile(`units\.\(\*(SLP|UPnP|DNSSD|Jini)Unit\)\.readReplies\(`)
 
 func countReplyReaders() int {
 	buf := make([]byte, 1<<16)
@@ -381,9 +462,9 @@ func TestRepliesReadersStopOnClose(t *testing.T) {
 	before := countReplyReaders()
 	sys := coldGateway(t, n.MustAddHost("gateway", "10.0.0.9"))
 	deadline := time.Now().Add(5 * time.Second)
-	for countReplyReaders() != before+2 {
+	for countReplyReaders() != before+4 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d reply readers running beside the %d before Start, want 2", countReplyReaders()-before, before)
+			t.Fatalf("%d reply readers running beside the %d before Start, want 4", countReplyReaders()-before, before)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -395,9 +476,9 @@ func TestRepliesReadersStopOnClose(t *testing.T) {
 	}
 }
 
-// TestRepliesStopWithQueryInFlight closes a NoCache gateway while each
-// unit waits on a native query nobody will answer. Close must not wait
-// the queries out.
+// TestRepliesStopWithQueryInFlight closes a NoCache gateway, with no
+// native Jini registrar present, while its units wait on native queries
+// nobody will answer. Close must not wait the queries out.
 func TestRepliesStopWithQueryInFlight(t *testing.T) {
 	n := newNet(t)
 	clientHost := n.MustAddHost("client", "10.0.0.1")
@@ -417,6 +498,7 @@ func TestRepliesStopWithQueryInFlight(t *testing.T) {
 	}
 	slpWatch := watch(slp.Port, slp.MulticastGroup)
 	ssdpWatch := watch(ssdp.Port, ssdp.MulticastGroup)
+	mdnsWatch := watch(dnssd.Port, dnssd.MulticastGroup)
 
 	client, err := clientHost.ListenUDP(0)
 	if err != nil {
@@ -463,6 +545,11 @@ func TestRepliesStopWithQueryInFlight(t *testing.T) {
 		r, ok := m.(*slp.SrvRqst)
 		return err == nil && ok && strings.Contains(strings.Join(r.Scopes, ","), slpBridgeScope)
 	})
+	awaitBridgeQuery(mdnsWatch, func(b []byte) bool {
+		m, err := dnssd.Parse(b)
+		return err == nil && !m.Response && len(m.Questions) > 0 &&
+			strings.EqualFold(m.Questions[0].Name, dnssd.ServiceType("nothing"))
+	})
 
 	start := time.Now()
 	if err := sys.Close(); err != nil {
@@ -470,5 +557,60 @@ func TestRepliesStopWithQueryInFlight(t *testing.T) {
 	}
 	if d := time.Since(start); d > 100*time.Millisecond {
 		t.Errorf("Close took %v with bridged queries in flight, want under 100ms", d)
+	}
+}
+
+// TestRepliesNoDiscoveryStorm makes one SLP lookup for a kind nobody
+// offers through a default gateway running every unit, with no native
+// Jini registrar on the segment. The lookup starts a follow-up in each
+// other unit; the Jini unit's must not go looking for a registrar. The
+// gateway multicasts one Jini discovery request, from Start, and no bus
+// request names the gateway's own address, as one would if its monitor
+// re-detected a discovery request the gateway sent.
+func TestRepliesNoDiscoveryStorm(t *testing.T) {
+	n := newNet(t)
+	clientHost := n.MustAddHost("client", "10.0.0.1")
+	watch, err := n.MustAddHost("watcher", "10.0.0.3").ListenUDP(jini.Port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(watch.Close)
+	if err := watch.JoinGroup(jini.RequestGroup); err != nil {
+		t.Fatal(err)
+	}
+	gatewayHost := n.MustAddHost("gateway", "10.0.0.9")
+	sys := indissOn(t, gatewayHost, core.RoleGateway)
+
+	var selfRequests atomic.Int64
+	sys.Bus().Subscribe("test-tap", events.ListenerFunc(func(env events.Envelope) {
+		s := env.Stream
+		if s.Has(events.ServiceRequest) && strings.Contains(s.FirstData(events.ReqID), gatewayHost.IP()+":") {
+			selfRequests.Add(1)
+		}
+		env.Release()
+	}))
+
+	if _, err := askSLP(clientHost, 1, "service:nothing", 200*time.Millisecond); err == nil {
+		t.Fatal("a lookup for a kind nobody offers was answered")
+	}
+	// A follow-up that went looking would keep at it for up to
+	// queryTimeout; a tenth of it shows whether one started.
+	time.Sleep(queryTimeout / 10)
+
+	requests := 0
+	for {
+		dg, err := watch.Recv(time.Millisecond)
+		if err != nil {
+			break
+		}
+		if kind, _, err := jini.OpenPacket(dg.Payload); err == nil && kind == jini.KindRequestPacket && dg.Src.IP == gatewayHost.IP() {
+			requests++
+		}
+	}
+	if requests != 1 {
+		t.Errorf("the gateway multicast %d Jini discovery requests, want the 1 from Start", requests)
+	}
+	if got := selfRequests.Load(); got != 0 {
+		t.Errorf("%d request streams on the bus name the gateway's own address, want 0", got)
 	}
 }

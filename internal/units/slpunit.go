@@ -1,7 +1,6 @@
 package units
 
 import (
-	"fmt"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -26,13 +25,9 @@ type SLPUnit struct {
 	*base
 	cfg SLPUnitConfig
 
-	// conn is the unit's one socket, marked self: it answers native
-	// requesters and sends the unit's native queries, whose SrvRplys its
-	// reader routes by XID through replies.
-	conn    netapi.PacketConn
+	// replies routes the SrvRplys to the unit's native queries by XID.
 	replies replies[uint16, *slp.SrvRply]
 	xid     atomic.Uint32
-	stop    chan struct{}
 }
 
 // interface compliance
@@ -43,7 +38,6 @@ func NewSLPUnit(cfg SLPUnitConfig) *SLPUnit {
 	u := &SLPUnit{
 		base: newBase("slp-unit", core.SDPSLP),
 		cfg:  cfg,
-		stop: make(chan struct{}),
 	}
 	u.onRequest = u.queryNative
 	u.onOther = u.composeOther
@@ -52,33 +46,11 @@ func NewSLPUnit(cfg SLPUnitConfig) *SLPUnit {
 
 // Start implements core.Unit.
 func (u *SLPUnit) Start(ctx *core.UnitContext) error {
-	conn, err := ctx.Stack.ListenUDP(0)
-	if err != nil {
-		return fmt.Errorf("slp unit: %w", err)
+	if err := u.start(ctx); err != nil {
+		return err
 	}
-	ctx.Self.Mark(conn.LocalAddr())
-	u.conn = conn
-	u.attach(ctx)
-	u.spawn(u.readReplies)
-	ctx.Bus.Subscribe(u.name, events.ListenerFunc(u.OnEvents))
-	u.spawn(u.announceLoop)
+	u.run(u.readReplies, u.announceLoop)
 	return nil
-}
-
-// Stop implements core.Unit.
-func (u *SLPUnit) Stop() {
-	if !u.markStopped() {
-		return
-	}
-	close(u.stop)
-	ctx := u.context()
-	if ctx != nil {
-		ctx.Bus.Unsubscribe(u.name)
-	}
-	if u.conn != nil {
-		u.conn.Close()
-	}
-	u.wait()
 }
 
 // HandleNative implements core.Unit: the parser half (paper §2.4 step ①).
@@ -281,7 +253,7 @@ func (u *SLPUnit) queryNative(s events.Stream) {
 	reqID := s.FirstData(events.ReqID)
 	kind := s.FirstData(events.ServiceType)
 
-	xid := u.nextXID()
+	xid := nextID(&u.xid)
 	// The extra scope marks the query as bridge-composed; native SAs
 	// match scopes by intersection and never see it, while a peer
 	// bridge's unit recognizes it and stays silent.
@@ -337,17 +309,6 @@ func (u *SLPUnit) readReplies() {
 		}
 		if rply, ok := msg.(*slp.SrvRply); ok && rply.Error == slp.ErrNone && len(rply.URLs) > 0 {
 			u.replies.deliver(rply.Hdr.XID, rply)
-		}
-	}
-}
-
-// nextXID numbers the unit's native queries, skipping 0. Queries in
-// flight at once hold distinct XIDs, which is what lets the reader route
-// every SrvRply to its own query.
-func (u *SLPUnit) nextXID() uint16 {
-	for {
-		if x := uint16(u.xid.Add(1)); x != 0 {
-			return x
 		}
 	}
 }

@@ -119,10 +119,18 @@ func TestFigure4EventSequence(t *testing.T) {
 		t.Fatalf("FindFirst: %v", err)
 	}
 
+	// The tap runs on its own bus worker, so the reply can reach the
+	// client before the tap has the request stream.
+	deadline := time.Now().Add(5 * time.Second)
 	mu.Lock()
 	defer mu.Unlock()
-	if len(captured) == 0 {
-		t.Fatal("no stream captured from slp-unit")
+	for len(captured) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no stream captured from slp-unit")
+		}
+		mu.Unlock()
+		time.Sleep(time.Millisecond)
+		mu.Lock()
 	}
 	s := captured[0]
 	if err := s.Validate(); err != nil {

@@ -35,16 +35,11 @@ type UPnPUnit struct {
 	*base
 	cfg UPnPUnitConfig
 
-	// conn is the unit's one socket, marked self: it answers native
-	// searchers, sends NOTIFYs and the unit's native M-SEARCHes, whose
-	// answers its reader routes by search target through replies.
-	conn     netapi.PacketConn
+	// replies routes the search responses to the unit's native
+	// M-SEARCHes by search target.
 	replies  replies[string, *ssdp.SearchResponse]
-	descSrv  *httpx.Server
 	descAddr netapi.Addr
 	queryFSM *fsm.Machine
-
-	stop chan struct{}
 }
 
 // interface compliance
@@ -59,7 +54,6 @@ func NewUPnPUnit(cfg UPnPUnitConfig) *UPnPUnit {
 		base:     newBase("upnp-unit", core.SDPUPnP),
 		cfg:      cfg,
 		queryFSM: buildUPnPQueryFSM(),
-		stop:     make(chan struct{}),
 	}
 	u.onRequest = u.queryNative
 	u.onOther = u.composeOther
@@ -105,50 +99,26 @@ func buildUPnPQueryFSM() *fsm.Machine {
 
 // Start implements core.Unit.
 func (u *UPnPUnit) Start(ctx *core.UnitContext) error {
-	conn, err := ctx.Stack.ListenUDP(0)
-	if err != nil {
-		return fmt.Errorf("upnp unit: %w", err)
+	// start attaches ctx before the description server serves:
+	// descriptions render from ctx.View.
+	if err := u.start(ctx); err != nil {
+		return err
 	}
-	ctx.Self.Mark(conn.LocalAddr())
-	u.conn = conn
-
 	l, err := ctx.Stack.ListenTCP(u.cfg.DescriptionPort)
 	if err != nil {
 		// Port taken (e.g. another INDISS instance): fall back.
 		l, err = ctx.Stack.ListenTCP(0)
 		if err != nil {
-			conn.Close()
+			u.conn.Close()
 			return fmt.Errorf("upnp unit: %w", err)
 		}
 	}
 	u.descAddr = l.Addr()
-	u.attach(ctx) // before serving: descriptions render from ctx.View
-	u.descSrv = &httpx.Server{Handler: u.serveDescription}
-	u.descSrv.Start(l)
-	u.spawn(u.readReplies)
-
-	ctx.Bus.Subscribe(u.name, events.ListenerFunc(u.OnEvents))
-	u.spawn(u.announceLoop)
+	descSrv := &httpx.Server{Handler: u.serveDescription}
+	descSrv.Start(l)
+	u.release = descSrv.Close
+	u.run(u.readReplies, u.announceLoop)
 	return nil
-}
-
-// Stop implements core.Unit.
-func (u *UPnPUnit) Stop() {
-	if !u.markStopped() {
-		return
-	}
-	close(u.stop)
-	ctx := u.context()
-	if ctx != nil {
-		ctx.Bus.Unsubscribe(u.name)
-	}
-	if u.conn != nil {
-		u.conn.Close()
-	}
-	if u.descSrv != nil {
-		u.descSrv.Close()
-	}
-	u.wait()
 }
 
 // HandleNative implements core.Unit: raw SSDP datagrams from the monitor.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"indiss"
+	"indiss/internal/jini"
 	"indiss/internal/realnet"
 	"indiss/internal/slp"
 	"indiss/internal/upnp"
@@ -129,4 +130,47 @@ func TestRealLoopbackInteropNoCache(t *testing.T) {
 		}
 	}
 	t.Logf("%d cold bridged lookups over real sockets took %v", lookups, time.Since(start))
+}
+
+// TestRealLoopbackInteropJiniOnGatewayHost runs a native Jini lookup
+// service on the gateway's own address, booted after the gateway: its
+// announcements leave from 127.0.0.1:4160, the address the bridge
+// registrar announces from too. The gateway must still adopt it, so an
+// SLP lookup through the NoCache gateway reaches its item.
+func TestRealLoopbackInteropJiniOnGatewayHost(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipped in -short: binds live loopback sockets and joins real multicast groups")
+	}
+	gatewayStack := realLoopbackStack(t, "real-gateway")
+	lookupStack := realLoopbackStack(t, "real-lookup")
+	clientStack := realLoopbackStack(t, "real-client")
+	requireRealMulticast(t, gatewayStack)
+
+	gateway, err := indiss.Deploy(gatewayStack, indiss.Config{
+		Role:    indiss.RoleGateway,
+		SDPs:    []indiss.SDP{indiss.SLP, indiss.Jini},
+		NoCache: true,
+	})
+	if err != nil {
+		t.Fatalf("Deploy gateway: %v", err)
+	}
+	defer gateway.Close()
+	ls, err := jini.NewLookupService(lookupStack, jini.LookupConfig{AnnounceInterval: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("NewLookupService: %v", err)
+	}
+	defer ls.Close()
+	if _, err := jini.NewClient(lookupStack, jini.ClientConfig{}).Register(ls.Locator(), jini.ServiceItem{
+		Type: "net.jini.meter.Meter", Endpoint: "127.0.0.1:9100",
+	}, time.Second); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+
+	urls, err := slp.NewUserAgent(clientStack, slp.AgentConfig{}).FindFirst("service:meter", "", 8*time.Second)
+	if err != nil {
+		t.Fatalf("SLP client found no Jini meter through the live bridge: %v", err)
+	}
+	if urls[0].URL != "service:meter:127.0.0.1:9100" {
+		t.Errorf("URL = %q, want the native Jini meter", urls[0].URL)
+	}
 }
