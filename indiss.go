@@ -164,12 +164,6 @@ type Config struct {
 	// digest anti-entropy instead of re-learning the federation. Empty
 	// keeps everything memory-only.
 	DataDir string
-	// ViewMemBudget caps the view's estimated in-memory footprint in
-	// bytes. Past the budget, cold remote records spill to the DataDir
-	// store and are served from disk on point lookups; locally
-	// observed records always stay resident. Zero means unbounded.
-	// Requires DataDir.
-	ViewMemBudget int64
 
 	// Peers lists the "ip:port" federation endpoints of peer gateways.
 	// A non-empty list (or a non-zero FederationPort) enables the
@@ -232,19 +226,15 @@ func Deploy(stack Stack, cfg Config) (*System, error) {
 	if cfg.Role == 0 {
 		return nil, fmt.Errorf("indiss: Config.Role is required")
 	}
-	if cfg.ViewMemBudget > 0 && cfg.DataDir == "" {
-		return nil, fmt.Errorf("indiss: ViewMemBudget requires DataDir (spilled records need somewhere to live)")
-	}
 	coreCfg := core.Config{
-		Role:          cfg.Role,
-		Units:         cfg.SDPs,
-		Dynamic:       cfg.Dynamic,
-		ThresholdBps:  cfg.ThresholdBps,
-		Profile:       cfg.Profile,
-		NoCache:       cfg.NoCache,
-		DataDir:       cfg.DataDir,
-		ViewMemBudget: cfg.ViewMemBudget,
-		GatewayID:     cfg.GatewayID,
+		Role:         cfg.Role,
+		Units:        cfg.SDPs,
+		Dynamic:      cfg.Dynamic,
+		ThresholdBps: cfg.ThresholdBps,
+		Profile:      cfg.Profile,
+		NoCache:      cfg.NoCache,
+		DataDir:      cfg.DataDir,
+		GatewayID:    cfg.GatewayID,
 	}
 	if len(cfg.Peers) > 0 || cfg.FederationPort != 0 {
 		peers := make([]Addr, 0, len(cfg.Peers))

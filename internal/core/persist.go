@@ -9,15 +9,15 @@ import (
 
 // Persistence wiring: with Config.DataDir set, the system opens a
 // log-structured viewstore under it, warm-loads the surviving records
-// into the view before any unit runs, attaches the store as the view's
-// cold tier, and keeps the log current by pumping the view's lossless
-// delta-batch feed into it. The log is a cache of discovery state, not
-// a ledger: replay reconciliation (append order, TTLs, graves) decides
-// what a reboot believes, and anything the log missed is re-learned
-// from native traffic or peers.
+// into the view before any unit runs, and keeps the log current by
+// pumping the view's lossless delta-batch feed into it. Lookups read
+// the view only; the log is read back on the next boot. The log is a
+// cache of discovery state, not a ledger: replay reconciliation (append
+// order, TTLs, graves) decides what a reboot believes, and anything the
+// log missed is re-learned from native traffic or peers.
 
-// maintainInterval paces store maintenance (flush, grave
-// pruning, compaction) and view budget enforcement.
+// maintainInterval paces store maintenance (flush, grave pruning,
+// compaction).
 const maintainInterval = time.Second
 
 // toStoreRecord converts a view record to its log form (unix-ms
@@ -62,51 +62,10 @@ func min64(a, b int64) int64 {
 	return b
 }
 
-// storeAdapter narrows *viewstore.Store to the view's ViewStorage
-// contract, translating record forms at the boundary.
-type storeAdapter struct {
-	st *viewstore.Store
-}
-
-func (a storeAdapter) Spill(recs []ServiceRecord) error {
-	out := make([]viewstore.Record, len(recs))
-	for i := range recs {
-		out[i] = toStoreRecord(&recs[i])
-	}
-	_, err := a.st.Spill(out)
-	return err
-}
-
-func (a storeAdapter) Lookup(origin SDP, url string, now time.Time) (ServiceRecord, bool) {
-	rec, ok := a.st.Lookup(string(origin), url, now)
-	if !ok {
-		return ServiceRecord{}, false
-	}
-	return fromStoreRecord(&rec), true
-}
-
-func (a storeAdapter) SpilledCount() int { return a.st.SpilledCount() }
-
-// ScanKind satisfies the optional KindScanner extension: the query
-// plane's cold fallthrough enumerates spilled records of one kind
-// through it. The store's fn runs under its lock, so the view-form copy
-// is taken inside and handed out by value.
-func (a storeAdapter) ScanKind(kind string, now time.Time, fn func(ServiceRecord) bool) {
-	a.st.ScanSpilledKind(kind, now, func(r *viewstore.Record) bool {
-		return fn(fromStoreRecord(r))
-	})
-}
-
-func (a storeAdapter) SpillGeneration() uint64 { return a.st.SpillGeneration() }
-
-func (a storeAdapter) SpilledKind(origin SDP, url string) (string, bool) {
-	return a.st.SpilledKind(string(origin), url)
-}
-
-// openStorage opens the view log, replays it into the view, attaches
-// the cold tier, and starts the pump and maintenance goroutines. Runs
-// during NewSystem, before the monitor or any unit — the warm records
-// are in place before the first native message arrives.
+// openStorage opens the view log, replays it into the view, and starts
+// the pump and maintenance goroutines. Runs during NewSystem, before
+// the monitor or any unit — the warm records are in place before the
+// first native message arrives.
 func (s *System) openStorage() error {
 	st, err := viewstore.Open(s.cfg.DataDir, viewstore.Options{})
 	if err != nil {
@@ -120,7 +79,6 @@ func (s *System) openStorage() error {
 	for i := range rec.Records {
 		s.view.Put(fromStoreRecord(&rec.Records[i]))
 	}
-	s.view.AttachStorage(storeAdapter{st}, s.cfg.ViewMemBudget)
 
 	batches, cancel := s.view.SubscribeDeltaBatches(1024)
 	s.storeCancel = cancel
@@ -149,8 +107,8 @@ func (s *System) pumpStore(batches <-chan []Delta) {
 				_ = s.store.Put(&r)
 			case DeltaRemove, DeltaExpire:
 				// Expiry is erased too: the record would be dropped on
-				// replay anyway, but erasing keeps lookups and the
-				// spilled set from serving it meanwhile.
+				// replay anyway, but erasing keeps the keydir and the
+				// compaction's live set to what the view holds.
 				_ = s.store.Erase(string(d.Record.Origin), d.Record.URL)
 			}
 		}
@@ -158,8 +116,7 @@ func (s *System) pumpStore(batches <-chan []Delta) {
 	}
 }
 
-// maintainStore periodically compacts the log and enforces the view's
-// memory budget.
+// maintainStore periodically flushes and compacts the log.
 func (s *System) maintainStore() {
 	ticker := time.NewTicker(maintainInterval)
 	defer ticker.Stop()
@@ -168,9 +125,7 @@ func (s *System) maintainStore() {
 		case <-s.stop:
 			return
 		case <-ticker.C:
-			now := time.Now()
-			_ = s.store.Maintain(now)
-			s.view.EnforceBudget(now)
+			_ = s.store.Maintain(time.Now())
 		}
 	}
 }

@@ -49,11 +49,6 @@ type Config struct {
 	// it into the view on start (warm boot), and mirrors every view
 	// change back into it. Empty keeps the view memory-only.
 	DataDir string
-	// ViewMemBudget caps the view's in-memory footprint (bytes,
-	// estimated): past it, cold remote records are spilled to the
-	// DataDir store and served from disk on point lookups. Zero means
-	// unbounded. Only meaningful with DataDir set.
-	ViewMemBudget int64
 
 	// GatewayID names this instance in a gateway federation. Empty
 	// defaults to the host name. Only meaningful with federation

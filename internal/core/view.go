@@ -88,21 +88,12 @@ type armedState struct {
 	at  time.Time
 }
 
-// kindBucket holds one lowercased kind's records plus a coarse recency
-// stamp the eviction pass ranks buckets by. The stamp is written at
-// most once per second per bucket (see touchBucket), so concurrent
-// readers under the shard RLock do not fight over the cache line.
-type kindBucket struct {
-	recs  map[string]ServiceRecord // key → record
-	touch atomic.Int64             // unix seconds of the last read hit
-}
-
 // viewShard holds the records of the kinds hashing to it, bucketed by
 // lowercased kind so a Find touches exactly the records it returns.
 type viewShard struct {
 	mu     sync.RWMutex
-	kinds  map[string]*kindBucket // lowered kind → bucket
-	expiry []expiryEntry          // min-heap by at
+	kinds  map[string]map[string]ServiceRecord // lowered kind → key → record
+	expiry []expiryEntry                       // min-heap by at
 	// armed maps each (kind,key) to its single live heap entry. Put
 	// pushes only when unarmed or when the new deadline is earlier than
 	// the armed one (the superseded entry becomes an orphan its seq
@@ -185,8 +176,6 @@ type ServiceView struct {
 	// answers (the query plane's answer cache, after the federation
 	// digest cache's bumpSummaries pattern) tag an answer with the
 	// counter read before the scan and revalidate with one atomic load.
-	// Eviction to the cold tier bumps neither: spilling moves a record's
-	// residence, not the answer set (ScanCold serves it from disk).
 	gen     atomic.Uint64
 	kindGen [kindGenStripes]atomic.Uint64
 
@@ -197,18 +186,6 @@ type ServiceView struct {
 	deltaMu   sync.Mutex
 	deltaSeq  int
 	batchSubs map[int]*batchSub
-
-	// Two-tier storage (see viewtier.go). tiered gates every cold-path
-	// branch so a memory-only view pays one predictable-false branch at
-	// most. storage, kindScan and memBudget are set once by
-	// AttachStorage, before concurrent use.
-	tiered    bool
-	storage   ViewStorage
-	kindScan  KindScanner
-	memBudget int64
-	memBytes  atomic.Int64
-	evicted   atomic.Uint64
-	coldHits  atomic.Uint64
 }
 
 // batchSub spools delta batches for one SubscribeDeltaBatches consumer.
@@ -263,7 +240,7 @@ func NewServiceView() *ServiceView {
 		batchSubs: make(map[int]*batchSub),
 	}
 	for i := range v.shards {
-		v.shards[i].kinds = make(map[string]*kindBucket)
+		v.shards[i].kinds = make(map[string]map[string]ServiceRecord)
 		v.shards[i].armed = make(map[string]armedState)
 	}
 	return v
@@ -325,11 +302,6 @@ func (v *ServiceView) Generation() uint64 { return v.gen.Load() }
 // case-insensitively, exactly as Put files it; "" means the whole view
 // and returns Generation(). ASCII kinds are looked up without
 // allocating, mixed case included.
-//
-// A spilled record is the exception the counter cannot see on its own:
-// the cold tier changes what ScanCold returns after the view has
-// bumped, so an answer that merged cold records must also hold
-// ColdGeneration.
 func (v *ServiceView) KindGeneration(kind string) uint64 {
 	if kind == "" {
 		return v.gen.Load()
@@ -421,12 +393,6 @@ func (v *ServiceView) Put(rec ServiceRecord) {
 		v.deleteFromBucket(sh, old, key)
 		v.bumpKind(old)
 		sh.mu.Unlock()
-	} else if !ok {
-		// A spilled record re-put under another kind leaves the old
-		// kind's cold answer; keysMu orders this against eviction.
-		if old, spilled := v.spilledKind(rec.Origin, rec.URL); spilled && old != lk {
-			v.bumpKind(old)
-		}
 	}
 	v.keys[key] = lk
 
@@ -434,15 +400,11 @@ func (v *ServiceView) Put(rec ServiceRecord) {
 	sh.mu.Lock()
 	bucket := sh.kinds[lk]
 	if bucket == nil {
-		bucket = &kindBucket{recs: make(map[string]ServiceRecord)}
+		bucket = make(map[string]ServiceRecord)
 		sh.kinds[lk] = bucket
 	}
 	stored := rec.Clone()
-	if old, ok := bucket.recs[key]; ok {
-		v.memBytes.Add(-recSize(&old))
-	}
-	bucket.recs[key] = stored
-	v.memBytes.Add(recSize(&stored))
+	bucket[key] = stored
 	ak := armedKey(lk, key)
 	if a, ok := sh.armed[ak]; !ok || rec.Expires.Before(a.at) {
 		// Arm (or re-arm earlier). An armed entry with an equal-or-
@@ -484,24 +446,14 @@ func (v *ServiceView) Remove(origin SDP, url string) bool {
 	lk, ok := v.keys[key]
 	if !ok {
 		v.keysMu.Unlock()
-		// The record may live only in the cold tier (spilled): withdraw
-		// it from there, announcing the removal so the storage pump and
-		// the federation see the withdrawal like any other.
-		if rec, spilled := v.coldLookup(origin, url, time.Now()); spilled {
-			v.bumpGen(strings.ToLower(rec.Kind))
-			v.emitDeltas([]Delta{{Op: DeltaRemove, Record: rec}})
-			return true
-		}
 		return false
 	}
 	delete(v.keys, key)
 	sh := v.shardFor(lk)
 	sh.mu.Lock()
 	if v.wantDeltas() {
-		if bucket := sh.kinds[lk]; bucket != nil {
-			if rec, live := bucket.recs[key]; live {
-				deltas = append(deltas, Delta{Op: DeltaRemove, Record: rec})
-			}
+		if rec, live := sh.kinds[lk][key]; live {
+			deltas = append(deltas, Delta{Op: DeltaRemove, Record: rec})
 		}
 	}
 	v.deleteFromBucket(sh, lk, key)
@@ -517,28 +469,17 @@ func (v *ServiceView) Remove(origin SDP, url string) bool {
 // read-only, as with Find.
 func (v *ServiceView) Get(origin SDP, url string) (ServiceRecord, bool) {
 	key := viewKey(origin, url)
-	now := time.Now()
 	v.keysMu.Lock()
 	lk, ok := v.keys[key]
 	v.keysMu.Unlock()
 	if !ok {
-		// Point-miss: the record may have been spilled to the cold tier.
-		return v.coldLookup(origin, url, now)
+		return ServiceRecord{}, false
 	}
 	sh := v.shardFor(lk)
 	sh.mu.RLock()
-	var rec ServiceRecord
-	bucket := sh.kinds[lk]
-	if bucket != nil {
-		rec, ok = bucket.recs[key]
-	} else {
-		ok = false
-	}
+	rec, ok := sh.kinds[lk][key]
 	sh.mu.RUnlock()
-	if bucket != nil {
-		v.touchBucket(bucket, now)
-	}
-	if !ok || !rec.Expires.After(now) {
+	if !ok || !rec.Expires.After(time.Now()) {
 		return ServiceRecord{}, false
 	}
 	return rec, true
@@ -634,19 +575,18 @@ func sweepDueLocked(sh *viewShard, now time.Time) bool {
 
 func (v *ServiceView) collectLocked(sh *viewShard, lk string, now time.Time, skip SDP, filterOrigin bool, keep func(*ServiceRecord) bool, out []ServiceRecord, presize bool) []ServiceRecord {
 	bucket := sh.kinds[lk]
-	if bucket == nil || len(bucket.recs) == 0 {
+	if len(bucket) == 0 {
 		return out
 	}
-	v.touchBucket(bucket, now)
 	if presize && out == nil {
-		out = make([]ServiceRecord, 0, len(bucket.recs))
+		out = make([]ServiceRecord, 0, len(bucket))
 	}
 	if keep != nil {
 		// One reusable evaluation slot, not &rec: the predicate is an
 		// unknown function, so escape analysis would heap-allocate the
 		// loop variable on every iteration if its address were taken.
 		probe := new(ServiceRecord)
-		for _, rec := range bucket.recs {
+		for _, rec := range bucket {
 			if !rec.Expires.After(now) || (filterOrigin && rec.Origin == skip) {
 				continue
 			}
@@ -658,7 +598,7 @@ func (v *ServiceView) collectLocked(sh *viewShard, lk string, now time.Time, ski
 		}
 		return out
 	}
-	for _, rec := range bucket.recs {
+	for _, rec := range bucket {
 		if !rec.Expires.After(now) {
 			continue // lazily skipped; the heap sweep reclaims it
 		}
@@ -685,12 +625,11 @@ func sortRecords(recs []ServiceRecord, preferLocal bool) {
 	})
 }
 
-// Len returns the number of records, live or not, across both tiers.
+// Len returns the number of records, live or not.
 func (v *ServiceView) Len() int {
 	v.keysMu.Lock()
-	n := len(v.keys)
-	v.keysMu.Unlock()
-	return n + v.spillTotal()
+	defer v.keysMu.Unlock()
+	return len(v.keys)
 }
 
 // sweepShard expires due records of one shard: pop heap entries whose
@@ -716,12 +655,7 @@ func (v *ServiceView) sweepShardLocked(sh *viewShard, now time.Time, deltas []De
 		if a, ok := sh.armed[ak]; !ok || a.seq != entry.seq {
 			continue // orphan superseded by an earlier re-arm: discard
 		}
-		bucket := sh.kinds[entry.kind]
-		var rec ServiceRecord
-		var ok bool
-		if bucket != nil {
-			rec, ok = bucket.recs[entry.key]
-		}
+		rec, ok := sh.kinds[entry.kind][entry.key]
 		if !ok {
 			// Removed or re-put under another kind: the live entry is
 			// consumed, so the pair is no longer armed.
@@ -751,19 +685,12 @@ func (v *ServiceView) sweepShardLocked(sh *viewShard, now time.Time, deltas []De
 	return deltas
 }
 
-// deleteFromBucket removes one record and settles its memory account;
-// every removal path (withdrawal, expiry, kind change, eviction) funnels
-// through here so the budget estimate cannot drift.
+// deleteFromBucket removes one record, and the kind's bucket with its
+// last record.
 func (v *ServiceView) deleteFromBucket(sh *viewShard, lk, key string) {
 	bucket := sh.kinds[lk]
-	if bucket == nil {
-		return
-	}
-	if rec, ok := bucket.recs[key]; ok {
-		v.memBytes.Add(-recSize(&rec))
-	}
-	delete(bucket.recs, key)
-	if len(bucket.recs) == 0 {
+	delete(bucket, key)
+	if len(bucket) == 0 {
 		delete(sh.kinds, lk)
 	}
 }

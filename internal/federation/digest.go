@@ -84,20 +84,10 @@ func recHash(key string, epoch uint64) uint64 {
 
 // originAgg is one origin gateway's summary plus the records and graves
 // behind it, kept so a divergence can push without re-scanning the view.
-// Records the memory budget spilled to disk are held by key only — the
-// digest needs just (key, epoch), and a push resolves the full record
-// through the view's cold-tier lookup when (rarely) needed.
 type originAgg struct {
-	sum     OriginSummary
-	recs    []core.ServiceRecord
-	spilled []spillRef
-	tombs   []tombstone
-}
-
-// spillRef names one disk-resident record an origin summary covers.
-type spillRef struct {
-	origin core.SDP
-	url    string
+	sum   OriginSummary
+	recs  []core.ServiceRecord
+	tombs []tombstone
 }
 
 // bumpSummaries invalidates the summary cache; every mutation that can
@@ -170,25 +160,6 @@ func (e *Endpoint) summarize(recs []core.ServiceRecord, now time.Time) map[strin
 			agg.sum.MaxEpoch = epoch
 		}
 		agg.recs = append(agg.recs, rec)
-	}
-	if p := e.cfg.Persistence; p != nil {
-		// Records the memory budget spilled to disk are still live view
-		// state: they hash into their origin's bucket exactly as if
-		// resident — spilling moved the bytes, not the (key, epoch)
-		// identity — so digests stay complete under memory pressure.
-		// Spilled records are always remote (locals are never evicted).
-		for _, sp := range p.Spilled(now) {
-			origin := core.SDP(sp.Origin)
-			key := viewKey(origin, sp.URL)
-			epoch := e.epochs[key]
-			agg := get(sp.OriginGW)
-			agg.sum.LiveCount++
-			agg.sum.LiveHash ^= recHash(key, epoch)
-			if epoch > agg.sum.MaxEpoch {
-				agg.sum.MaxEpoch = epoch
-			}
-			agg.spilled = append(agg.spilled, spillRef{origin: origin, url: sp.URL})
-		}
 	}
 	for key, t := range e.tombs {
 		if !t.expires.After(now) {
@@ -324,22 +295,9 @@ func (e *Endpoint) handleDigestDiff(s *session, d DigestDiff) {
 // horizon still applies per record; the receiving accept filter absorbs
 // whatever it already knows.
 func (e *Endpoint) pushOrigin(s *session, agg *originAgg) bool {
-	entries := make([]BatchEntry, 0, len(agg.recs)+len(agg.spilled)+len(agg.tombs))
+	entries := make([]BatchEntry, 0, len(agg.recs)+len(agg.tombs))
 	for _, rec := range agg.recs {
 		if e.skipForPeer(rec, s) {
-			continue
-		}
-		a, ok := e.announceFor(rec)
-		if !ok {
-			continue
-		}
-		entries = append(entries, BatchEntry{Announce: &a})
-	}
-	for _, sp := range agg.spilled {
-		// Resolve the disk-resident record only now that a divergence
-		// demands it; the view's Get falls through to the cold tier.
-		rec, ok := e.view.Get(sp.origin, sp.url)
-		if !ok || e.skipForPeer(rec, s) {
 			continue
 		}
 		a, ok := e.announceFor(rec)

@@ -14,10 +14,7 @@ import (
 // boot seeds the maps back — with the view already replayed, the
 // endpoint's first digest then hashes identically to what peers
 // remember, and anti-entropy repairs only the drift accumulated while
-// the gateway was down instead of re-learning the world. The spilled
-// set keeps digests complete when the view's memory budget pushes cold
-// records to disk: spilling moves a record's residence, never its
-// (key, epoch) identity.
+// the gateway was down instead of re-learning the world.
 //
 // *viewstore.Store satisfies the interface. Nil disables persistence.
 type Persistence interface {
@@ -31,8 +28,6 @@ type Persistence interface {
 	RecoveredEpochs() map[string]uint64
 	// RecoveredGraves returns the replayed, still-live tombstones.
 	RecoveredGraves() []viewstore.Grave
-	// Spilled lists live records currently resident only on disk.
-	Spilled(now time.Time) []viewstore.SpillInfo
 }
 
 // persistEpoch mirrors an epoch change when persistence is wired.

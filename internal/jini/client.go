@@ -95,7 +95,7 @@ func (c *Client) ListenAnnouncements(window time.Duration) ([]Locator, error) {
 		if err != nil {
 			continue
 		}
-		if !groupsOverlap(c.cfg.Groups, ann.Groups) {
+		if !GroupsOverlap(c.cfg.Groups, ann.Groups) {
 			continue
 		}
 		key := ann.Locator.String()

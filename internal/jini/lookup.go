@@ -121,9 +121,9 @@ func (ls *LookupService) Count() int {
 	return len(ls.items)
 }
 
-// groupsOverlap implements Jini group matching: an empty requested set
-// means "any group".
-func groupsOverlap(requested, served []string) bool {
+// GroupsOverlap implements Jini group matching: requested and served
+// share a group, or requested is empty, which means "any group".
+func GroupsOverlap(requested, served []string) bool {
 	if len(requested) == 0 {
 		return true
 	}
@@ -151,7 +151,7 @@ func (ls *LookupService) serveUDP() {
 		if err != nil {
 			continue
 		}
-		if !groupsOverlap(req.Groups, ls.cfg.groups()) {
+		if !GroupsOverlap(req.Groups, ls.cfg.groups()) {
 			continue
 		}
 		// Unicast announcement back to the requester's response port.

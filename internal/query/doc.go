@@ -22,11 +22,7 @@
 // answer cache memoized on the view's per-kind mutation generation — a
 // cached answer is valid until a record of its kind changes or the
 // earliest record in the answer expires, so a read-heavy interval
-// serves prerendered wire images even while other kinds churn. Records
-// the memory budget spilled to the cold tier are merged into answers
-// via the view's ScanCold, so HTTP clients see the whole view, not just
-// the resident slice; an answer that merged any also depends on the
-// cold tier's spill generation.
+// serves prerendered wire images even while other kinds churn.
 //
 // DESIGN.md §12 documents the ports, wire schema, predicate grammar
 // and the cache invalidation rule.

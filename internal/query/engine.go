@@ -14,24 +14,15 @@ import (
 // mutation generation — the bumpSummaries pattern the federation's
 // digest plane uses, applied to whole prerendered HTTP responses.
 //
-// A cached answer is valid while ALL hold:
+// A cached answer is valid while BOTH hold:
 //
 //  1. the kind's generation (ServiceView.KindGeneration) still equals
 //     the one read before the scan that built it: every Put, Remove or
 //     expiry sweep that touches the kind bumps it, churn on other kinds
 //     does not (short of a counter-stripe collision);
-//  2. if the answer merged records from the cold tier, the tier's spill
-//     generation (ServiceView.ColdGeneration) is unchanged too — the
-//     tier applies a withdrawal or re-kind of a spilled record after
-//     the view has bumped, so rule 1 alone would keep serving it;
-//  3. now is before the earliest Expires among the answer's records —
+//  2. now is before the earliest Expires among the answer's records —
 //     lazy expiry means a record can lapse before any sweep notices,
-//     and rules 1–2 alone would keep serving it.
-//
-// Eviction to the cold tier bumps no view counter: spilling moves a
-// record's residence, not the answer set, so cached wire images stay
-// valid and post-miss rebuilds merge the spilled slice back in via
-// ScanCold.
+//     and rule 1 alone would keep serving it.
 type Engine struct {
 	view *core.ServiceView
 	gwID string
@@ -52,8 +43,6 @@ type qkey struct {
 // nothing mutates a published one, so readers copy wire under RLock.
 type answer struct {
 	gen       uint64 // kind generation read BEFORE the scan that built this
-	coldGen   uint64 // cold-tier spill generation, read with gen
-	cold      bool   // merged cold-tier records: coldGen must hold too
 	minExpiry int64  // unixnano of the earliest record expiry; MaxInt64 when none
 	wire      []byte // complete HTTP/1.1 response, headers included
 	pred      *slp.Predicate
@@ -118,7 +107,6 @@ func (e *Engine) build(k qkey, prev *answer, now time.Time) (*answer, error) {
 	// generation the entry does not match, forcing the next query to
 	// rebuild. The stale entry can never serve a post-mutation read.
 	kindGen := e.view.KindGeneration(k.kind)
-	coldGen := e.view.ColdGeneration()
 	viewGen := e.view.Generation()
 
 	var keep func(*core.ServiceRecord) bool
@@ -133,39 +121,17 @@ func (e *Engine) build(k qkey, prev *answer, now time.Time) (*answer, error) {
 	}
 	recs := e.view.FindWhere(k.kind, now, keep)
 
-	// Cold fallthrough: records the memory budget spilled still belong
-	// to every answer. The resident scan cannot have seen them (spill
-	// removes the memory copy), but a concurrent Put may have brought
-	// one back — dedup by identity, resident copy wins (it is newer).
-	resident := len(recs)
-	e.view.ScanCold(k.kind, now, func(r core.ServiceRecord) bool {
-		if compiled != nil && !compiled.EvalMap(r.Attrs) {
-			e.ctrs.predRejected.Add(1)
-			return true
-		}
-		for i := range recs {
-			if recs[i].Origin == r.Origin && recs[i].URL == r.URL {
-				return true
-			}
-		}
-		recs = append(recs, r)
-		e.ctrs.coldMerged.Add(1)
-		return true
-	})
-
 	a := renderAnswer(e.gwID, k, viewGen, recs)
-	a.gen, a.coldGen, a.cold = kindGen, coldGen, len(recs) > resident
+	a.gen = kindGen
 	a.pred = compiled // donate the compilation to the next rebuild
 	e.install(k, a, now)
 	return a, nil
 }
 
 // holds reports whether a cached answer is still exact at now: the
-// three validity rules on Engine.
+// two validity rules on Engine.
 func (e *Engine) holds(k qkey, a *answer, now time.Time) bool {
-	return a.gen == e.view.KindGeneration(k.kind) &&
-		(!a.cold || a.coldGen == e.view.ColdGeneration()) &&
-		now.UnixNano() < a.minExpiry
+	return a.gen == e.view.KindGeneration(k.kind) && now.UnixNano() < a.minExpiry
 }
 
 // compile parses the predicate, reusing prev's compilation when the

@@ -16,7 +16,6 @@ type counters struct {
 	deliveries   atomic.Uint64 // watch events delivered
 	bytesOut     atomic.Uint64 // response bytes written
 	badRequests  atomic.Uint64 // 4xx responses
-	coldMerged   atomic.Uint64 // spilled records merged into answers
 	predRejected atomic.Uint64 // records rejected by pushdown predicate
 }
 
@@ -30,7 +29,6 @@ type Stats struct {
 	Deliveries   uint64
 	BytesOut     uint64
 	BadRequests  uint64
-	ColdMerged   uint64
 	PredRejected uint64
 }
 
@@ -44,7 +42,6 @@ func (c *counters) snapshot() Stats {
 		Deliveries:   c.deliveries.Load(),
 		BytesOut:     c.bytesOut.Load(),
 		BadRequests:  c.badRequests.Load(),
-		ColdMerged:   c.coldMerged.Load(),
 		PredRejected: c.predRejected.Load(),
 	}
 }
@@ -53,9 +50,9 @@ func (c *counters) snapshot() Stats {
 // gateway's -stats-interval loop prints.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"queries=%d hits=%d misses=%d watch_polls=%d watch_active=%d delivered=%d bytes_out=%d bad=%d cold_merged=%d pred_rejected=%d",
+		"queries=%d hits=%d misses=%d watch_polls=%d watch_active=%d delivered=%d bytes_out=%d bad=%d pred_rejected=%d",
 		s.Queries, s.CacheHits, s.CacheMisses, s.WatchPolls, s.WatchActive,
-		s.Deliveries, s.BytesOut, s.BadRequests, s.ColdMerged, s.PredRejected)
+		s.Deliveries, s.BytesOut, s.BadRequests, s.PredRejected)
 }
 
 // appendVarsJSON renders the snapshot as the /debug/vars JSON body,
@@ -70,7 +67,6 @@ func (s Stats) appendVarsJSON(dst []byte) []byte {
 	dst = appendUintField(dst, "watch_delivered", s.Deliveries, true)
 	dst = appendUintField(dst, "bytes_out", s.BytesOut, true)
 	dst = appendUintField(dst, "bad_requests", s.BadRequests, true)
-	dst = appendUintField(dst, "cold_merged", s.ColdMerged, true)
 	dst = appendUintField(dst, "pred_rejected", s.PredRejected, true)
 	return append(dst, '}')
 }

@@ -2,12 +2,15 @@ package units
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"indiss/internal/core"
 	"indiss/internal/dnssd"
+	"indiss/internal/events"
 	"indiss/internal/jini"
+	"indiss/internal/netapi"
 	"indiss/internal/slp"
 )
 
@@ -105,6 +108,67 @@ func TestBrowseAllReachesDNSSDByMetaQuery(t *testing.T) {
 	}
 	if asked != 1 {
 		t.Errorf("the gateway asked for the lamp type %d times, want 1", asked)
+	}
+}
+
+// TestBrowseAllOnlyForServedGroups: a Jini discovery request becomes a
+// browse-all request only when the bridge registrar serves a group it
+// names. One naming only "lab" puts no request stream on the bus; one
+// naming "public", and one naming no group (any group), put one each.
+func TestBrowseAllOnlyForServedGroups(t *testing.T) {
+	n := newNet(t)
+	clientHost := n.MustAddHost("client", "10.0.0.1")
+	sys := indissOn(t, n.MustAddHost("gateway", "10.0.0.9"), core.RoleGateway, core.SDPJini)
+
+	var mu sync.Mutex
+	streams := map[string]int{} // request id → request streams
+	sys.Bus().Subscribe("test-tap", events.ListenerFunc(func(env events.Envelope) {
+		if s := env.Stream; s.Has(events.ServiceRequest) {
+			mu.Lock()
+			streams[s.FirstData(events.ReqID)]++
+			mu.Unlock()
+		}
+		env.Release()
+	}))
+	count := func(reqID string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return streams[reqID]
+	}
+	// Each request leaves from its own socket, so the unit gives each
+	// its own request id.
+	request := func(groups []string) string {
+		conn, err := clientHost.ListenUDP(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(conn.Close)
+		port := conn.LocalAddr().Port
+		req, err := jini.RequestPacket(groups, port)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sendRaw(t, conn, req, netapi.Addr{IP: jini.RequestGroup, Port: jini.Port})
+		return "jini-" + netapi.Addr{IP: clientHost.IP(), Port: port}.String()
+	}
+
+	lab := request([]string{"lab"})
+	public := request([]string{"public"})
+	anyGroup := request(nil)
+	deadline := time.Now().Add(2 * time.Second)
+	for count(public) == 0 || count(anyGroup) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("request streams: public %d, any group %d; want 1 each", count(public), count(anyGroup))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The lab request went first; give a stream it started time to land.
+	time.Sleep(50 * time.Millisecond)
+	if got := count(lab); got != 0 {
+		t.Errorf("a request naming only lab put %d request streams on the bus, want 0", got)
+	}
+	if count(public) != 1 || count(anyGroup) != 1 {
+		t.Errorf("request streams: public %d, any group %d; want 1 each", count(public), count(anyGroup))
 	}
 }
 

@@ -51,7 +51,10 @@ type JiniUnit struct {
 	cfg JiniUnitConfig
 
 	registrar *jini.LookupService
-	client    *jini.Client
+	// groups are the groups the registrar serves, the bridge marker
+	// included.
+	groups []string
+	client *jini.Client
 
 	// started is when Start sent the discovery request; found closes on
 	// the first adoption.
@@ -127,6 +130,7 @@ func (u *JiniUnit) Start(ctx *core.UnitContext) error {
 	// with the bridge's own. parseAnnouncement drops the bridge's own by
 	// their marker group.
 	u.registrar = registrar
+	u.groups = groups
 	u.release = registrar.Close
 	u.client = jini.NewClient(ctx.Stack, jini.ClientConfig{})
 	var loops []func()
@@ -178,7 +182,7 @@ func (u *JiniUnit) HandleNative(det core.Detection) {
 	ctx.Profile.Delay()
 	switch kind {
 	case jini.KindRequestPacket:
-		u.parseDiscoveryRequest(det)
+		u.parseDiscoveryRequest(det, r)
 	case jini.KindAnnouncePacket:
 		u.parseAnnouncement(r)
 	}
@@ -187,8 +191,13 @@ func (u *JiniUnit) HandleNative(det core.Detection) {
 // parseDiscoveryRequest reacts to a Jini client searching for lookup
 // services: the bridge registrar answers natively on its own; here the
 // unit additionally publishes a browse request so peer units pre-populate
-// the view the registrar serves before the client's lookup lands.
-func (u *JiniUnit) parseDiscoveryRequest(det core.Detection) {
+// the view the registrar serves before the client's lookup lands. A
+// request for groups the registrar does not serve gets neither.
+func (u *JiniUnit) parseDiscoveryRequest(det core.Detection, r *jini.PacketReader) {
+	groups, _, err := jini.ParseRequestPacket(r)
+	if err != nil || !jini.GroupsOverlap(groups, u.groups) {
+		return
+	}
 	reqID := "jini-" + det.Src.String()
 	u.publish(requestStream(core.SDPJini, reqID, det.Src, true, "",
 		events.E(events.JiniGroups, joinComma(u.cfg.Groups)),

@@ -1,6 +1,6 @@
-// Package viewstore is the ServiceView's persistent tier: a
+// Package viewstore is the ServiceView's persistent log: a
 // log-structured storage engine that makes the view survive a gateway
-// restart and lets it spill cold remote records out of memory.
+// restart.
 //
 // The design is deliberately boring — a Bitcask-shaped log, not a
 // B-tree. Every mutation the view emits (record puts, expiries,
@@ -106,16 +106,6 @@ type Grave struct {
 // origin-SDP|URL shape the view uses, so keys compare across layers.
 func Key(origin, url string) string {
 	return origin + "|" + url
-}
-
-// SplitKey is Key's inverse.
-func SplitKey(key string) (origin, url string) {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '|' {
-			return key[:i], key[i+1:]
-		}
-	}
-	return "", key
 }
 
 // --- encoding (AppendTo style, shared with the wire codec's idiom) ---

@@ -108,62 +108,41 @@ func TestColdStartWithoutDataDir(t *testing.T) {
 	}
 }
 
-// TestViewMemBudgetRequiresDataDir pins the config validation.
-func TestViewMemBudgetRequiresDataDir(t *testing.T) {
+// TestRemovedRecordNotServedFromStore: after a Remove, the store's
+// keydir holds the record until the delta pump erases it. The view must
+// not reach it there: a Get right after the Remove misses, and a second
+// Remove reports false, so no second withdrawal reaches the delta feed.
+func TestRemovedRecordNotServedFromStore(t *testing.T) {
 	net := indiss.NewLAN()
 	defer net.Close()
 	host := net.MustAddHost("gw", "10.0.0.9")
-	_, err := indiss.Deploy(host, indiss.Config{Role: indiss.RoleGateway, ViewMemBudget: 1 << 20})
-	if err == nil {
-		t.Fatal("Deploy with ViewMemBudget but no DataDir succeeded")
-	}
-}
-
-// TestBudgetedDeploySpillsAndServes drives the full stack under a tiny
-// memory budget: remote records spill to disk, point lookups still find
-// them, and the in-memory estimate respects the budget.
-func TestBudgetedDeploySpillsAndServes(t *testing.T) {
-	dir := t.TempDir()
-	net := indiss.NewLAN()
-	defer net.Close()
-	host := net.MustAddHost("gw", "10.0.0.9")
-	sys, err := indiss.Deploy(host, indiss.Config{
-		Role:          indiss.RoleGateway,
-		DataDir:       dir,
-		ViewMemBudget: 1, // force everything remote out
-	})
+	sys, err := indiss.Deploy(host, indiss.Config{Role: indiss.RoleGateway, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("Deploy: %v", err)
 	}
 	defer sys.Close()
 
-	const n = 40
-	urls := make([]string, n)
-	for i := range urls {
-		urls[i] = "soap://10.0.1." + string(rune('0'+i%10)) + ":4004/svc" + string(rune('a'+i%26))
-		sys.View().Put(indiss.ServiceRecord{
-			Origin:   indiss.UPnP,
-			Kind:     "urn:schemas-upnp-org:service:Clock:1",
-			URL:      urls[i],
-			Expires:  time.Now().Add(time.Hour),
-			OriginGW: "gw-far",
-			Hops:     1,
-			Remote:   true,
-		})
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.ViewStore().SpilledCount() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d records spilled", sys.ViewStore().SpilledCount(), n)
+	const (
+		url    = "soap://10.0.0.2:4004/clock"
+		rounds = 200
+	)
+	served, removedTwice := 0, 0
+	for i := 0; i < rounds; i++ {
+		putRec(sys, url, time.Hour)
+		waitStoreKeys(t, sys, 1)
+		if !sys.View().Remove(indiss.UPnP, url) {
+			t.Fatalf("round %d: Remove of a live record reported false", i)
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	for _, u := range urls {
-		if _, ok := sys.View().Get(indiss.UPnP, u); !ok {
-			t.Fatalf("spilled record %s unreachable via Get", u)
+		if _, ok := sys.View().Get(indiss.UPnP, url); ok {
+			served++
 		}
+		if sys.View().Remove(indiss.UPnP, url) {
+			removedTwice++
+		}
+		waitStoreKeys(t, sys, 0)
 	}
-	if mu := sys.View().MemUsage(); mu > 4096 {
-		t.Fatalf("MemUsage %d after full spill; want near zero", mu)
+	if served != 0 || removedTwice != 0 {
+		t.Errorf("over %d rounds, Get returned the removed record %d times and a second Remove reported true %d times; want 0 and 0",
+			rounds, served, removedTwice)
 	}
 }
