@@ -52,50 +52,53 @@ func sharedCounterKinds(t *testing.T) (string, string) {
 // sweeps and clock advances. After every step each cached answer must
 // list exactly what a fresh Engine lists. The kinds include two that
 // share a counter stripe and a non-ASCII upper-case one, queried under
-// other spellings.
+// other spellings. The memory-only run keeps the subtest name tiered=false
+// it had beside the cold-tier run, which went with the cold tier.
 func TestAnswerCacheMatchesFreshEngine(t *testing.T) {
-	shareA, shareB := sharedCounterKinds(t)
-	putKinds := []string{shareA, shareB, "printer", "Printer", "ÄPFEL", "Äpfel"}
-	queryKinds := []string{shareA, shareB, "printer", "PRINTER", "äpfel", "ÄPFEL", ""}
-	rng := rand.New(rand.NewSource(1))
-	view := core.NewServiceView()
-	e := NewEngine(view, "gw")
-	now := time.Now()
-	url := func() string { return "service:x://10.0.0." + strconv.Itoa(rng.Intn(12)) }
-	check := func(step int, what string) {
-		t.Helper()
-		for _, k := range queryKinds {
-			cached, _, err := e.AppendAnswer(nil, k, "", now)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh, _, _ := NewEngine(view, "gw").AppendAnswer(nil, k, "", now)
-			if got, want := answerSet(t, cached), answerSet(t, fresh); !slices.Equal(got, want) {
-				t.Fatalf("step %d (%s), kind %q: cached answer lists %v, a fresh engine %v", step, what, k, got, want)
+	t.Run("tiered=false", func(t *testing.T) {
+		shareA, shareB := sharedCounterKinds(t)
+		putKinds := []string{shareA, shareB, "printer", "Printer", "ÄPFEL", "Äpfel"}
+		queryKinds := []string{shareA, shareB, "printer", "PRINTER", "äpfel", "ÄPFEL", ""}
+		rng := rand.New(rand.NewSource(1))
+		view := core.NewServiceView()
+		e := NewEngine(view, "gw")
+		now := time.Now()
+		url := func() string { return "service:x://10.0.0." + strconv.Itoa(rng.Intn(12)) }
+		check := func(step int, what string) {
+			t.Helper()
+			for _, k := range queryKinds {
+				cached, _, err := e.AppendAnswer(nil, k, "", now)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, _, _ := NewEngine(view, "gw").AppendAnswer(nil, k, "", now)
+				if got, want := answerSet(t, cached), answerSet(t, fresh); !slices.Equal(got, want) {
+					t.Fatalf("step %d (%s), kind %q: cached answer lists %v, a fresh engine %v", step, what, k, got, want)
+				}
 			}
 		}
-	}
-	for step := 0; step < 1000; step++ {
-		switch op := rng.Intn(8); {
-		case op < 4:
-			r := core.ServiceRecord{Origin: core.SDPSLP, Kind: putKinds[rng.Intn(len(putKinds))], URL: url(),
-				Expires: now.Add(time.Duration(1+rng.Intn(60)) * time.Minute),
-				Remote:  rng.Intn(2) == 0, OriginGW: "gw-b"}
-			view.Put(r)
-			check(step, "put "+r.Kind+" "+r.URL)
-		case op < 6:
-			u := url()
-			view.Remove(core.SDPSLP, u)
-			check(step, "remove "+u)
-		case op < 7:
-			now = now.Add(time.Duration(1+rng.Intn(20)) * time.Minute)
-		default:
-			// Another reader, on a later clock, sweeps what it finds
-			// expired out from under this one's answers.
-			view.Find("", now.Add(time.Duration(rng.Intn(30))*time.Minute))
+		for step := 0; step < 1000; step++ {
+			switch op := rng.Intn(8); {
+			case op < 4:
+				r := core.ServiceRecord{Origin: core.SDPSLP, Kind: putKinds[rng.Intn(len(putKinds))], URL: url(),
+					Expires: now.Add(time.Duration(1+rng.Intn(60)) * time.Minute),
+					Remote:  rng.Intn(2) == 0, OriginGW: "gw-b"}
+				view.Put(r)
+				check(step, "put "+r.Kind+" "+r.URL)
+			case op < 6:
+				u := url()
+				view.Remove(core.SDPSLP, u)
+				check(step, "remove "+u)
+			case op < 7:
+				now = now.Add(time.Duration(1+rng.Intn(20)) * time.Minute)
+			default:
+				// Another reader, on a later clock, sweeps what it finds
+				// expired out from under this one's answers.
+				view.Find("", now.Add(time.Duration(rng.Intn(30))*time.Minute))
+			}
+			check(step, "settled")
 		}
-		check(step, "settled")
-	}
+	})
 }
 
 // TestUnrelatedChurnKeepsAnswersCached: Puts and Removes on one kind
